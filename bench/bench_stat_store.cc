@@ -2,7 +2,10 @@
 // merge, exact-inverse diff, binary serialization, in-memory parse, and
 // file load through both paths (mmap-backed vs stream read).  These are
 // the operations the distributed executors pay per exchange round and per
-// checkpoint, isolated from any simulation work.
+// checkpoint, isolated from any simulation work.  The net layer's share
+// rides along: checksum throughput (FNV-1a, the rank-chunk checksum, vs
+// util::checksum64, the frame/journal checksum) and frame encode+verify,
+// both over the serialized snapshot — reported, not gated.
 //
 // Emits the BENCH_*.json perf-trajectory shape (see bench_json.hpp) to
 // BENCH_stat_store.json.  CRITTER_BENCH_RANKS (default 16) and
@@ -15,7 +18,9 @@
 
 #include "bench_json.hpp"
 #include "core/stat_store.hpp"
+#include "net/frame.hpp"
 #include "util/cli.hpp"
+#include "util/hash.hpp"
 #include "util/table.hpp"
 
 namespace core = critter::core;
@@ -129,6 +134,40 @@ int main() {
     if (sink < 0) std::printf("%f", sink);
   }
 
+  // Checksums and frames over the serialized snapshot, in GB/s: every
+  // daemon tell pays a frame encode (client) and verify (daemon), and a
+  // framed journal record; the rank chunks inside keep FNV-1a.
+  {
+    const int iters = 100 * reps;
+    const double gb = static_cast<double>(payload.size()) * iters / 1e9;
+    std::uint64_t sink = 0;
+    double t0 = now_s();
+    for (int i = 0; i < iters; ++i)
+      sink += util::fnv1a(payload.data(), payload.size());
+    const double fnv_s = now_s() - t0;
+    t0 = now_s();
+    for (int i = 0; i < iters; ++i)
+      sink += util::checksum64(payload.data(), payload.size());
+    const double sum64_s = now_s() - t0;
+    t0 = now_s();
+    for (int i = 0; i < iters; ++i) {
+      critter::net::Frame f;
+      sink += critter::net::decode_frame(
+          critter::net::encode_frame(critter::net::kTuneTell, payload), f);
+    }
+    const double frame_s = now_s() - t0;
+    t.row({"checksum_fnv1a", util::Table::num(iters, 0),
+           util::Table::num(fnv_s, 3), util::Table::sci(iters / fnv_s)});
+    t.row({"checksum64", util::Table::num(iters, 0),
+           util::Table::num(sum64_s, 3), util::Table::sci(iters / sum64_s)});
+    t.row({"frame_encode_verify", util::Table::num(iters, 0),
+           util::Table::num(frame_s, 3), util::Table::sci(iters / frame_s)});
+    g_json.add("checksum_GBps.fnv1a", gb / fnv_s, "GB/s");
+    g_json.add("checksum_GBps.checksum64", gb / sum64_s, "GB/s");
+    g_json.add("frame_encode_verify_GBps", gb / frame_s, "GB/s");
+    if (sink == 42) std::printf(" ");  // defeat dead-code elimination
+  }
+
   // Sparse transport (DESIGN.md §13), one dirty rank out of nranks — the
   // tell/exchange shape the dirty-rank codec exists for.  Encode is a
   // chunk-granular byte comparison against the base payload; apply is a
@@ -223,6 +262,8 @@ int main() {
                "snapshot_bytes");
   g_json.ratio("sparse_delta_vs_full_bytes", "sparse_delta_bytes",
                "snapshot_bytes");
+  g_json.ratio("checksum64_vs_fnv1a", "checksum_GBps.checksum64",
+               "checksum_GBps.fnv1a");
   g_json.write("stat_store", "BENCH_stat_store.json");
   return 0;
 }

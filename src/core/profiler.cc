@@ -51,6 +51,13 @@ core::StatSnapshot Store::snapshot() const {
   return snap;
 }
 
+std::string Store::snapshot_bytes() const {
+  std::vector<const core::KernelTable*> tables;
+  tables.reserve(ranks_.size());
+  for (const auto& rp : ranks_) tables.push_back(&rp.table);
+  return core::serialize_tables(tables);
+}
+
 void Store::restore(const core::StatSnapshot& snap) {
   CRITTER_CHECK(snap.nranks() == nranks(),
                 "stat snapshot rank count does not match store");

@@ -156,6 +156,10 @@ class Store {
   /// lifecycle's snapshot point; see core/stat_store.hpp).
   core::StatSnapshot snapshot() const;
 
+  /// snapshot().to_string(), serialized from the live tables in place —
+  /// the same bytes without the deep copy.
+  std::string snapshot_bytes() const;
+
   /// Replace every rank's persistent statistics with the snapshot's.
   /// Rank counts must match.  Invalidate-sensitive caches are cleared.
   void restore(const core::StatSnapshot& snap);

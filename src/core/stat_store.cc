@@ -532,14 +532,58 @@ void read_rank_binary(BinReader& r, KernelTable& t, std::uint32_t version,
   }
 }
 
-std::string save_binary_string(const StatSnapshot& snap,
+/// Walk one v2 rank-chunk body's record structure without building any
+/// table: every count must fit in the bytes left (fixed-size records are
+/// skipped in one step), and the records must consume the chunk exactly.
+/// The byte-only consumers of shipped chunks (sparse patches spliced by the
+/// tuner daemon, its journal replay, and shard resume) get the structural
+/// rejection a full decode would give, at the cost of reading the counts.
+/// The record sizes mirror write_key_binary / write_stats_binary /
+/// write_rank_binary above.
+void check_chunk_structure(const char* body, std::uint64_t len) {
+  constexpr std::uint64_t kKeyBytes = 1 + 4 * 8 + 8;
+  constexpr std::uint64_t kStatsBytes = 7 * 8 + 8 + 1;
+  constexpr std::uint64_t kBucketBytes = 8 + 8 + 7 * 8;
+  constexpr std::uint64_t kChannelHeadBytes = 8 + 1 + 8;  // + 16 per dim
+  BinReader r{body, body + len};
+  const auto skip = [&r](std::uint64_t count, std::uint64_t record,
+                         const char* what) {
+    CRITTER_CHECK(count <= r.remaining() / record,
+                  std::string("sparse snapshot: rank chunk declares more ") +
+                      what + " records than it holds");
+    r.p += count * record;
+  };
+  r.i64();  // epoch
+  skip(r.u64(), kKeyBytes + kStatsBytes, "kernel");
+  skip(r.u64(), 8 + kKeyBytes, "key");
+  skip(r.u64(), 8 + kStatsBytes, "pending-eager");
+  skip(r.u64(), 8, "tombstone");
+  const std::uint64_t nc = r.u64();
+  CRITTER_CHECK(nc <= r.remaining() / kChannelHeadBytes,
+                "sparse snapshot: rank chunk declares more channel records "
+                "than it holds");
+  for (std::uint64_t i = 0; i < nc; ++i) {
+    r.i64();  // offset
+    r.u8();   // lattice flag
+    const std::uint64_t nd = r.u64();
+    CRITTER_CHECK(nd <= (1u << 20), "stat snapshot: implausible channel");
+    skip(nd, 16, "channel-dimension");
+  }
+  skip(r.u64(), kBucketBytes, "size-model bucket");
+  CRITTER_CHECK(r.p == r.end, "sparse snapshot: trailing content in rank chunk");
+}
+
+/// The binary payload of `tables` in rank order — shared by
+/// StatSnapshot::to_string and the in-place serialization of live stores.
+std::string save_binary_string(std::span<const KernelTable* const> tables,
                                std::uint32_t version) {
   std::string out;
   BinWriter w{out};
   w.raw(kMagic, sizeof kMagic);
   w.u32(version);
-  w.u32(static_cast<std::uint32_t>(snap.ranks.size()));
-  for (const KernelTable& t : snap.ranks) {
+  w.u32(static_cast<std::uint32_t>(tables.size()));
+  for (const KernelTable* tp : tables) {
+    const KernelTable& t = *tp;
     if (version == kLegacyVersion) {
       write_rank_binary(w, t, version);
       continue;
@@ -560,6 +604,14 @@ std::string save_binary_string(const StatSnapshot& snap,
     std::memcpy(out.data() + frame + 8, &sum, 8);
   }
   return out;
+}
+
+std::string save_binary_string(const StatSnapshot& snap,
+                               std::uint32_t version) {
+  std::vector<const KernelTable*> tables;
+  tables.reserve(snap.ranks.size());
+  for (const KernelTable& t : snap.ranks) tables.push_back(&t);
+  return save_binary_string(tables, version);
 }
 
 // Defined below (shared with the JSON path).
@@ -1294,6 +1346,10 @@ void StatSnapshot::save(std::ostream& os, Format fmt,
   CRITTER_CHECK(os.good(), "stat snapshot: write failed");
 }
 
+std::string serialize_tables(std::span<const KernelTable* const> tables) {
+  return save_binary_string(tables, kVersion);
+}
+
 std::string StatSnapshot::to_string(Format fmt) const {
   if (fmt == Format::Binary) return save_binary_string(*this, kVersion);
   std::ostringstream os;
@@ -1369,45 +1425,10 @@ std::string apply_sparse_patch(std::string_view base_full,
   CRITTER_CHECK(p.mode == 0,
                 "sparse snapshot: expected a patch (mode 0), got a "
                 "standalone delta");
+  for (const SparseEntry& e : p.entries) check_chunk_structure(e.body, e.len);
   const std::vector<ChunkExtent> base =
       chunk_extents(base_full, "sparse patch base");
   return splice_sparse_patch(base_full, base, p);
-}
-
-void apply_sparse_patch_in_place(std::string& full_bytes, StatSnapshot& snap,
-                                 std::string_view patch) {
-  const ParsedSparse p = parse_sparse(patch);
-  CRITTER_CHECK(p.mode == 0,
-                "sparse snapshot: expected a patch (mode 0), got a "
-                "standalone delta");
-  const std::vector<ChunkExtent> base =
-      chunk_extents(full_bytes, "sparse patch base");
-  CRITTER_CHECK(snap.nranks() == static_cast<int>(p.nranks),
-                "sparse snapshot: patch rank count does not match the "
-                "decoded snapshot");
-  full_bytes = splice_sparse_patch(full_bytes, base, p);
-  // Refresh only the touched tables: dirty ranks re-decode their shipped
-  // chunk, epoch-only ranks overwrite the one field.  Untouched ranks keep
-  // their decoded table (and its dirty-tracking version) as-is.
-  std::size_t next = 0;
-  for (std::uint32_t rank = 0; rank < p.nranks; ++rank) {
-    KernelTable& t = snap.ranks[rank];
-    if (next < p.entries.size() && p.entries[next].rank == rank) {
-      const SparseEntry& e = p.entries[next++];
-      const std::uint64_t v = t.version;
-      BinReader cr{e.body, e.body + e.len};
-      t = KernelTable{};
-      read_rank_binary(cr, t, p.nranks, kVersion);
-      CRITTER_CHECK(cr.p == cr.end,
-                    "sparse snapshot: trailing content in rank chunk");
-      t.version = v + 1;
-      continue;
-    }
-    if (t.epoch != p.epochs[rank]) {
-      t.epoch = p.epochs[rank];
-      t.touch();
-    }
-  }
 }
 
 std::string encode_sparse_delta(const StatSnapshot& delta) {

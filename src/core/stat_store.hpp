@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -169,6 +170,12 @@ struct StatSnapshot {
   static StatSnapshot load_file(const std::string& path);
 };
 
+/// The full binary payload of `tables` (rank order), byte-identical to
+/// StatSnapshot::to_string() of a snapshot holding copies of them — the
+/// live-store serializer (profiler Store, tune::SweepDriver) that writes
+/// the tables where they are instead of deep-copying them first.
+std::string serialize_tables(std::span<const KernelTable* const> tables);
+
 /// One kernel's pooled runtime moments, extracted read-only from a
 /// snapshot: the per-rank Welford accumulators of the same key merged
 /// across ranks (Chan), so `n`/`mean`/`variance` describe every timing
@@ -242,16 +249,14 @@ std::string encode_sparse_patch(std::string_view base_full,
                                 std::string_view new_full);
 
 /// Apply a mode-0 patch to a full v2 payload, returning the new full
-/// payload: exactly the `new_full` bytes encode_sparse_patch() saw.
+/// payload: exactly the `new_full` bytes encode_sparse_patch() saw.  Each
+/// shipped chunk is checksum-verified and its record structure walked
+/// without building a table (every count bounded by the bytes left, the
+/// chunk consumed exactly), so a malformed chunk is rejected even though
+/// the byte-only consumers — the tuner daemon's TELL, its journal replay,
+/// shard resume — never decode it.
 std::string apply_sparse_patch(std::string_view base_full,
                                std::string_view patch);
-
-/// Apply a mode-0 patch to a cached (bytes, parsed) pair in lock step:
-/// `full_bytes` is spliced, and only the dirty ranks of `snap` are
-/// re-decoded (epoch-only ranks just overwrite the epoch field) — the
-/// tuner daemon's TELL hot path, which must not re-parse clean ranks.
-void apply_sparse_patch_in_place(std::string& full_bytes, StatSnapshot& snap,
-                                 std::string_view patch);
 
 /// Encode a snapshot as a mode-1 standalone sparse delta: ranks whose
 /// chunk equals the canonical clean chunk (epoch + zero records — what

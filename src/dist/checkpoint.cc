@@ -14,7 +14,11 @@ namespace critter::dist {
 
 namespace {
 
-constexpr char kCheckpointMagic[8] = {'C', 'R', 'C', 'K', 'P', 'T', '0', '1'};
+// Version 2: the trailer switched from FNV-1a to util::checksum64.  A
+// version-1 slot from an older build fails with a named error (and the
+// resume falls back exactly as for any unusable slot).
+constexpr char kCheckpointMagic[8] = {'C', 'R', 'C', 'K', 'P', 'T', '0', '2'};
+constexpr char kCheckpointMagicV1[8] = {'C', 'R', 'C', 'K', 'P', 'T', '0', '1'};
 
 /// Write a snapshot's serialized payload.  When the caller carries the
 /// pre-serialized bytes (ShardCheckpoint::*_bytes) they are written
@@ -87,7 +91,7 @@ std::string serialize_checkpoint(const ShardCheckpoint& c) {
   // Payload-level checksum: the publish manifest already guards the file in
   // transit, this trailer guards the bytes at the source — any flip or
   // truncation is rejected before a single field is trusted.
-  const std::uint64_t sum = util::fnv1a(w.out.data(), w.out.size());
+  const std::uint64_t sum = util::checksum64(w.out.data(), w.out.size());
   w.raw(&sum, sizeof sum);
   return w.out;
 }
@@ -97,11 +101,16 @@ ShardCheckpoint parse_checkpoint(const std::string& payload,
                                  const ShardRange& range) {
   CRITTER_CHECK(payload.size() >= sizeof kCheckpointMagic + 8,
                 "shard checkpoint: payload too short");
+  CRITTER_CHECK(std::memcmp(payload.data(), kCheckpointMagicV1,
+                            sizeof kCheckpointMagicV1) != 0,
+                "shard checkpoint: version-1 checkpoint (CRCKPT01, FNV-1a "
+                "trailer) written by an older build — not resumable");
   std::uint64_t declared = 0;
   std::memcpy(&declared, payload.data() + payload.size() - 8, 8);
-  CRITTER_CHECK(util::fnv1a(payload.data(), payload.size() - 8) == declared,
-                "shard checkpoint: checksum trailer mismatch (corrupt or "
-                "torn checkpoint)");
+  CRITTER_CHECK(
+      util::checksum64(payload.data(), payload.size() - 8) == declared,
+      "shard checkpoint: checksum trailer mismatch (corrupt or torn "
+      "checkpoint)");
   WireReader r{payload};
   char magic[sizeof kCheckpointMagic];
   r.raw(magic, sizeof magic);
@@ -384,7 +393,7 @@ std::string frame_log_record(const std::string& payload) {
   std::string out;
   out.reserve(payload.size() + 16);
   const std::uint64_t len = payload.size();
-  const std::uint64_t sum = util::fnv1a(payload.data(), payload.size());
+  const std::uint64_t sum = util::checksum64(payload.data(), payload.size());
   out.append(reinterpret_cast<const char*>(&len), 8);
   out.append(reinterpret_cast<const char*>(&sum), 8);
   out.append(payload);
@@ -400,7 +409,7 @@ std::vector<std::string> scan_log_records(const std::string& blob) {
     std::memcpy(&sum, blob.data() + pos + 8, 8);
     if (len > blob.size() - pos - 16) break;  // torn append
     const char* p = blob.data() + pos + 16;
-    if (util::fnv1a(p, static_cast<std::size_t>(len)) != sum) break;
+    if (util::checksum64(p, static_cast<std::size_t>(len)) != sum) break;
     records.emplace_back(p, static_cast<std::size_t>(len));
     pos += 16 + static_cast<std::size_t>(len);
   }

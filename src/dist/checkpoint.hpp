@@ -18,9 +18,9 @@
 //   * the non-strict exchange skips taken so far, so replay skips the
 //     same (round, peer) pairs the live run skipped.
 //
-// The payload ends in an FNV-1a trailer over everything before it, so any
-// truncation or byte flip is rejected by parse_checkpoint() even when the
-// publish manifest happens to match (e.g. corruption at the source).
+// The payload ends in a util::checksum64 trailer over everything before it,
+// so any truncation or byte flip is rejected by parse_checkpoint() even when
+// the publish manifest happens to match (e.g. corruption at the source).
 // Workers alternate between two slots (ckpt_a.bin / ckpt_b.bin): a torn or
 // corrupt latest checkpoint falls back to the previous one, and a worker
 // with no valid checkpoint restarts cleanly — which is still bit-identical,
@@ -132,7 +132,8 @@ CheckpointIncrement parse_increment(const std::string& payload,
 void apply_increment(ShardCheckpoint& ck, std::int64_t base_seq,
                      CheckpointIncrement&& inc);
 
-/// Log framing: [u64 payload length][u64 FNV-1a of payload][payload].
+/// Log framing: [u64 payload length][u64 util::checksum64 of payload]
+/// [payload].  Covers the shards' CRCKINC2 and the daemon's CRJTELL1 logs.
 std::string frame_log_record(const std::string& payload);
 
 /// The longest valid framed-record prefix of a log blob.  Scanning stops at
@@ -142,7 +143,7 @@ std::vector<std::string> scan_log_records(const std::string& blob);
 
 /// Parse and fully validate a checkpoint payload; `study`/`range` rebind
 /// the outcome configurations and bound every cursor.  Throws on any
-/// corruption — truncation, byte flips (FNV trailer), implausible
+/// corruption — truncation, byte flips (checksum trailer), implausible
 /// counters, positions outside the range — before returning partial state.
 ShardCheckpoint parse_checkpoint(const std::string& payload,
                                  const tune::Study& study,

@@ -1342,9 +1342,10 @@ std::vector<ShardResult> SubprocessExecutor::run(
                 *store, connect);
 
   // Fleet timeline (DESIGN.md §14): each worker wrote a per-shard trace
-  // (pid = shard index) before publishing its result; merge them with the
-  // launcher's own events into the CRITTER_TRACE file.  Best-effort —
-  // shards that died before flushing simply have no rows.
+  // (pid = shard index) before publishing its result; the launcher adopts
+  // them, so its CRITTER_TRACE file is their merge with its own events —
+  // rewritten at exit with whatever it recorded after this fleet.
+  // Best-effort — shards that died before flushing simply have no rows.
   if (const std::string trace_path = obs::trace_env_path();
       !trace_path.empty()) {
     std::vector<std::string> docs;
@@ -1359,14 +1360,8 @@ std::vector<ShardResult> SubprocessExecutor::run(
       } catch (...) {
       }
     }
-    docs.push_back(obs::trace_export_chrome());
     names.emplace_back(static_cast<int>(::getpid()), "launcher");
-    try {
-      write_file(trace_path, obs::trace_merge_chrome(docs, names));
-    } catch (const std::exception& e) {
-      obs::log_warn("fleet trace merge to %s failed: %s", trace_path.c_str(),
-                    e.what());
-    }
+    obs::trace_adopt_docs(std::move(docs), std::move(names));
   }
 
   // End-of-run mailbox sweep: every result is in hand, so no worker will

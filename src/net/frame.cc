@@ -9,8 +9,6 @@ namespace critter::net {
 
 namespace {
 
-using util::fnv1a;
-
 struct Header {
   std::uint32_t magic = 0;
   std::uint32_t verb = 0;
@@ -37,6 +35,9 @@ Header unpack_header(const char* in) {
 /// Header-only validation — everything checkable before touching (or
 /// allocating for) the payload.
 void check_header(const Header& h, std::uint64_t max_payload) {
+  CRITTER_CHECK(h.magic != kFrameMagicV1,
+                "net: peer speaks frame version 1 (CRF1, FNV-1a checksums) — "
+                "mixed-build client and daemon; upgrade both to CRF2");
   CRITTER_CHECK(h.magic == kFrameMagic,
                 "net: bad frame magic — not a critter frame stream");
   CRITTER_CHECK(known_verb(h.verb),
@@ -48,7 +49,7 @@ void check_header(const Header& h, std::uint64_t max_payload) {
 }
 
 void check_payload(const Header& h, const std::string& payload) {
-  CRITTER_CHECK(fnv1a(payload.data(), payload.size()) == h.checksum,
+  CRITTER_CHECK(util::checksum64(payload.data(), payload.size()) == h.checksum,
                 "net: frame payload checksum mismatch (torn or corrupted "
                 "frame)");
 }
@@ -86,7 +87,7 @@ std::string encode_frame(std::uint32_t verb, const std::string& payload) {
   h.magic = kFrameMagic;
   h.verb = verb;
   h.length = payload.size();
-  h.checksum = fnv1a(payload.data(), payload.size());
+  h.checksum = util::checksum64(payload.data(), payload.size());
   std::string out(kFrameHeaderBytes, '\0');
   pack_header(h, out.data());
   out += payload;

@@ -1,8 +1,8 @@
-// Length-prefixed, FNV-checksummed frames — the one message shape every
+// Length-prefixed, checksummed frames — the one message shape every
 // critter network service speaks (DESIGN.md §12.1):
 //
-//   [u32 magic "CRF1"][u32 verb][u64 payload length][u64 payload FNV-1a]
-//   [payload bytes]
+//   [u32 magic "CRF2"][u32 verb][u64 payload length]
+//   [u64 payload util::checksum64][payload bytes]
 //
 // The header is validated before the payload is read: wrong magic,
 // unknown verb, or a length above the caller's bound rejects the frame
@@ -24,7 +24,10 @@
 
 namespace critter::net {
 
-inline constexpr std::uint32_t kFrameMagic = 0x31465243u;  // "CRF1"
+/// Version 2 switched the payload checksum from FNV-1a to util::checksum64;
+/// a peer of the other version fails the magic check by name.
+inline constexpr std::uint32_t kFrameMagic = 0x32465243u;  // "CRF2"
+inline constexpr std::uint32_t kFrameMagicV1 = 0x31465243u;  // "CRF1"
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Hard upper bound on a payload; services pass tighter bounds where the
 /// verb implies one.

@@ -45,6 +45,10 @@ struct TraceState {
   std::size_t capacity = 16384;
   bool env_path_written = false;
   bool atexit_installed = false;
+  /// Other processes' documents (a fleet launcher's shard traces) and the
+  /// process rows naming them, merged into every write of the env path.
+  std::vector<std::string> adopted_docs;
+  std::vector<std::pair<int, std::string>> adopted_names;
 };
 
 /// Leaked: rings must survive static destruction (the atexit flush).
@@ -200,6 +204,8 @@ void trace_reset_for_tests() {
     r->slots.assign(std::max<std::size_t>(1, s.capacity), TraceEvent{});
   }
   s.env_path_written = false;
+  s.adopted_docs.clear();
+  s.adopted_names.clear();
 }
 
 std::uint64_t trace_dropped() {
@@ -280,10 +286,11 @@ std::string trace_export_chrome() {
   return out;
 }
 
-bool trace_write_chrome(const std::string& path) {
-  const std::string doc = trace_export_chrome();
-  // Best-effort by contract: an unwritable trace path must never fail the
-  // traced run (passivity), so no fsio CHECK-throwing writers here.
+namespace {
+
+/// Best-effort by contract: an unwritable trace path must never fail the
+/// traced run (passivity), so no fsio CHECK-throwing writers here.
+bool write_doc(const std::string& path, const std::string& doc) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) {
     log_warn("trace: cannot write %s", path.c_str());
@@ -293,6 +300,28 @@ bool trace_write_chrome(const std::string& path) {
   std::fclose(f);
   if (!ok) log_warn("trace: short write to %s", path.c_str());
   return ok;
+}
+
+/// What this process writes to its env path: its own events, merged with
+/// every adopted document when it has any.
+std::string env_document() {
+  std::vector<std::string> docs;
+  std::vector<std::pair<int, std::string>> names;
+  {
+    TraceState& s = state();
+    std::lock_guard<std::mutex> lock(s.m);
+    docs = s.adopted_docs;
+    names = s.adopted_names;
+  }
+  if (docs.empty()) return trace_export_chrome();
+  docs.push_back(trace_export_chrome());
+  return trace_merge_chrome(docs, names);
+}
+
+}  // namespace
+
+bool trace_write_chrome(const std::string& path) {
+  return write_doc(path, trace_export_chrome());
 }
 
 void trace_flush_env() {
@@ -305,7 +334,26 @@ void trace_flush_env() {
     if (s.env_path_written) return;
     s.env_path_written = true;
   }
-  trace_write_chrome(path);
+  write_doc(path, env_document());
+}
+
+void trace_adopt_docs(std::vector<std::string> docs,
+                      std::vector<std::pair<int, std::string>> process_names) {
+  {
+    TraceState& s = state();
+    std::lock_guard<std::mutex> lock(s.m);
+    for (std::string& d : docs) s.adopted_docs.push_back(std::move(d));
+    for (auto& [pid, name] : process_names) {
+      const bool known = std::any_of(
+          s.adopted_names.begin(), s.adopted_names.end(),
+          [pid = pid](const auto& row) { return row.first == pid; });
+      if (!known) s.adopted_names.emplace_back(pid, std::move(name));
+    }
+  }
+  // Written now, so the merged timeline exists as soon as the fleet
+  // returns; the exit flush rewrites it with everything recorded since.
+  if (const std::string path = trace_env_path(); !path.empty())
+    write_doc(path, env_document());
 }
 
 std::string trace_merge_chrome(
@@ -331,11 +379,6 @@ std::string trace_merge_chrome(
     out += body;
   }
   out += "]}";
-  {
-    TraceState& s = state();
-    std::lock_guard<std::mutex> lock(s.m);
-    s.env_path_written = true;  // the merged file owns the env path now
-  }
   return out;
 }
 

@@ -84,18 +84,28 @@ std::string trace_export_chrome();
 /// trace_export_chrome() to a file; false (with a warn log) on I/O error.
 bool trace_write_chrome(const std::string& path);
 
-/// Flush this process's events to trace_env_path() if tracing is enabled,
-/// a path is configured, and no explicit flush/merge already wrote it.
-/// Installed via atexit on first emit; harmless to call directly.
+/// Flush this process's events — merged with any adopted documents — to
+/// trace_env_path() if tracing is enabled, a path is configured, and no
+/// explicit flush already wrote it.  Installed via atexit on first emit;
+/// harmless to call directly.
 void trace_flush_env();
 
 /// Merge full chrome documents (each as written by trace_write_chrome,
 /// with per-document pids already distinct) into one document, prepending
-/// process_name metadata from `process_names` (pid, name) pairs.  Used by
-/// the fleet launcher; marks the env path as written so the atexit flush
-/// does not clobber the merged file.
+/// process_name metadata from `process_names` (pid, name) pairs.  A pure
+/// function.
 std::string trace_merge_chrome(
     const std::vector<std::string>& docs,
     const std::vector<std::pair<int, std::string>>& process_names);
+
+/// Adopt other processes' documents into this process's trace file — the
+/// fleet launcher's merge of its shards' traces.  `process_names` rows
+/// (first name per pid wins, this process's own row included) are kept
+/// with them.  The env path is written at once, and every later write of
+/// it (trace_flush_env, the exit flush) merges the adopted documents with
+/// this process's events *as of that write*, so spans recorded after a
+/// fleet run still reach the file.
+void trace_adopt_docs(std::vector<std::string> docs,
+                      std::vector<std::pair<int, std::string>> process_names);
 
 }  // namespace critter::obs

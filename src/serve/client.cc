@@ -151,12 +151,10 @@ ClientReport TunerClient::run() {
       // never a stats diff, whose merge round trip drifts by ulps), a full
       // payload when we hold no base.  base_gen names the base; the
       // daemon rejects a patch against a generation it no longer has.
-      const StatSnapshot after = mirror_->stats();
-      std::string after_bytes;
-      if (!after.empty()) after_bytes = after.to_string();
+      std::string after_bytes = mirror_->stats_bytes();
       trq.base_gen = held_gen_;
       if (after_bytes == held_state_) {
-        // unchanged: trq.state stays "" and the daemon skips the import
+        // unchanged: trq.state stays "" and the daemon's bytes stand
       } else if (held_state_.empty()) {
         trq.state = after_bytes;
       } else {

@@ -190,14 +190,14 @@ struct TunerDaemon::Session {
   std::uint64_t owner = 0;
   std::vector<int> batch;
 
-  // Authoritative serialized session statistics (DESIGN.md §13): "" while
-  // empty, otherwise the exact full v2 payload.  `state_snap` mirrors the
-  // decoded bytes so the TELL hot path never re-parses clean ranks, and
+  // The session statistics, held only as serialized bytes (DESIGN.md §13):
+  // "" while empty, otherwise the exact full v2 payload.  Nothing on the
+  // daemon decodes them — TELL splices patches in, ASK/EXPORT/the journal
+  // ship them out — and `tuner`'s own statistics are never consulted.
   // `state_gen` names the bytes — bumped exactly when they change, so a
   // client whose generation token matches holds these exact bytes and ASK
   // ships nothing.
   std::string state_bytes;
-  StatSnapshot state_snap;
   std::uint64_t state_gen = 1;
 
   // Journal bookkeeping, in the shard worker's checkpoint format with no
@@ -297,11 +297,11 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
 
   // Journal replay: the best full slot, then the longest valid CRJTELL1
   // prefix of ckpt_log.bin on top — seq-continuous records whose state
-  // blobs byte-splice in sequence onto the slot's serialized statistics.
-  // The final spliced bytes import once (bitwise-exact), and asks are a
-  // pure function of told outcomes and ingested priors, so the resumed
-  // strategy re-proposes exactly the recorded batches — anything else is a
-  // divergence bug, not a degraded resume.
+  // blobs byte-splice in sequence onto the slot's serialized statistics,
+  // which stay bytes.  Asks are a pure function of told outcomes and
+  // ingested priors, so the resumed strategy re-proposes exactly the
+  // recorded batches — anything else is a divergence bug, not a degraded
+  // resume.
   ShardCheckpoint ck;
   std::int64_t base_seq = 0;
   std::string base_slot;
@@ -337,9 +337,6 @@ std::unique_ptr<TunerDaemon::Session> TunerDaemon::load_session(
         s->seq = rec.seq;
       }
     }
-    if (!s->state_bytes.empty())
-      s->state_snap = StatSnapshot::from_string(s->state_bytes);
-    s->tuner->import_state(s->state_snap);
     for (const ShardCheckpoint::ToldBatch& tb : s->told) {
       const std::vector<int> b = s->tuner->ask();
       CRITTER_CHECK(b == tb.positions,
@@ -436,7 +433,6 @@ void TunerDaemon::journal_tell(Session& s, const std::string& state_blob) {
   c.in_round = c.batches;  // the non-exchanging worker's cursor shape
   c.told = s.told;
   c.totals = s.tuner->totals();
-  c.full = s.state_snap;
   c.full_bytes = s.state_bytes;  // written verbatim: no re-serialization
   const std::string slot = s.next_full_slot;
   core::publish_file(s.dir, slot, dist::serialize_checkpoint(c));
@@ -598,28 +594,27 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
                     "tune tell: the claimed batch belongs to another client");
       // Three-way state field (serve/protocol.hpp): "" = statistics
       // unchanged; a mode-0 sparse patch against the generation the client
-      // was shipped at ASK; or a full payload.  The patch splices into the
-      // cached (bytes, snapshot) pair — clean ranks are never re-parsed.
+      // was shipped at ASK; or a full payload.  Either way the session
+      // bytes become the client's post-evaluation bytes (DESIGN.md §12.3),
+      // validated before anything changes: apply_sparse_patch checks each
+      // shipped chunk's checksum and record structure; a full payload
+      // decodes once.
       if (!trq.state.empty()) {
         if (core::is_sparse_payload(trq.state)) {
           CRITTER_CHECK(trq.base_gen == s.state_gen,
                         "tune tell: sparse state patch against a stale "
                         "generation — re-ask and send full state");
-          core::apply_sparse_patch_in_place(s.state_bytes, s.state_snap,
-                                            trq.state);
+          s.state_bytes = core::apply_sparse_patch(s.state_bytes, trq.state);
           ++s.sparse_tells;
           obs::counter("serve.tells.sparse").add();
         } else {
           obs::counter("serve.tells.full").add();
-          s.state_snap = StatSnapshot::from_string(trq.state);
+          StatSnapshot::from_string(trq.state);  // validate only
           s.state_bytes = trq.state;
         }
         ++s.state_gen;
       }
-      const StatSnapshot no_state;  // empty = unchanged: skip the re-import
-      s.tuner->tell_evaluated(trq.outcomes,
-                              trq.state.empty() ? no_state : s.state_snap,
-                              trq.totals);
+      s.tuner->tell_evaluated(trq.outcomes, trq.totals);
       s.told.push_back({trq.batch, std::move(trq.outcomes)});
       journal_tell(s, trq.state);
       s.claimed = false;
@@ -633,8 +628,7 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
     case net::kTuneExport: {
       Session& s = resolve_session(decode_session_ref(rq.payload));
       std::lock_guard<std::mutex> lk(s.mu);
-      // The cache IS the serialized state (serialize ∘ parse is exact) —
-      // no per-export re-serialization.
+      // The session statistics are bytes: EXPORT ships them as they are.
       return {net::kOk, s.state_bytes};
     }
     case net::kTuneImport: {
@@ -644,10 +638,12 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       std::lock_guard<std::mutex> lk(s.mu);
       s.bytes_in += static_cast<std::int64_t>(rq.payload.size());
       // from_string expands mode-1 sparse deltas; to_string canonicalizes
-      // the cache to the full v2 payload either way.
-      s.state_snap = StatSnapshot::from_string(snapshot);
-      s.state_bytes = s.state_snap.to_string();
-      s.tuner->import_state(s.state_snap);
+      // the session bytes to the full v2 payload either way.  Legal only
+      // before the session's first claim, like Tuner::import_state.
+      CRITTER_CHECK(s.told.empty() && !s.claimed,
+                    "tune import: session '" + name +
+                        "' has already started tuning");
+      s.state_bytes = StatSnapshot::from_string(snapshot).to_string();
       ++s.state_gen;
       // Out-of-band state change between full slots: journal records after
       // it would splice onto bytes no resume can reconstruct — force the
@@ -661,11 +657,8 @@ net::Frame TunerDaemon::handle_request(const net::Frame& rq,
       StatusReply rp;
       rp.done = s.tuner->done();
       rp.tells = static_cast<std::int32_t>(s.told.size());
-      for (const ShardCheckpoint::ToldBatch& tb : s.told)
-        for (const tune::ConfigOutcome& oc : tb.outcomes)
-          if (oc.evaluated) ++rp.evaluated;
-      if (rp.evaluated > 0)
-        rp.best_predicted = s.tuner->result().best_predicted();
+      rp.evaluated = s.tuner->evaluated_configs();
+      if (rp.evaluated > 0) rp.best_predicted = s.tuner->best_predicted();
       rp.bytes_in = s.bytes_in;
       rp.bytes_out = s.bytes_out;
       rp.sparse_tells = s.sparse_tells;

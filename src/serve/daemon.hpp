@@ -1,17 +1,20 @@
 // TunerDaemon: ask/tell tuning as a long-lived multi-client service
 // (DESIGN.md §12.3-§12.5).
 //
-// The daemon owns the authoritative Tuner session per (session name); any
-// number of clients connect over TCP (net/socket.hpp, net/frame.hpp) and
-// speak the serve/protocol.hpp verbs.  Evaluation happens *client-side*: an
-// ASK hands out the claimed batch, the evaluation hints, and the session's
-// shared statistics; the client mirrors evaluate() with its own SweepDriver
-// and TELLs back outcomes, totals contributions, and its full
-// post-evaluation statistics.  Tuner::tell_evaluated *replaces* the session
-// state with that snapshot — sound because the mirror started from exactly
-// what ASK shipped and only one claim is ever outstanding — so the state
-// after every tell is bit-identical to having evaluated locally, and N
-// concurrent clients produce exactly the single-process run_study() result.
+// The daemon owns the authoritative session per (session name): a Tuner
+// for the strategy, outcomes, and totals, and the shared statistics as
+// serialized bytes only.  Any number of clients connect over TCP
+// (net/socket.hpp, net/frame.hpp) and speak the serve/protocol.hpp verbs.
+// Evaluation happens *client-side*: an ASK hands out the claimed batch, the
+// evaluation hints, and the session's statistics bytes; the client mirrors
+// evaluate() with its own SweepDriver and TELLs back outcomes, totals
+// contributions, and its post-evaluation statistics as a byte patch.  The
+// daemon splices the patch into the session bytes — never decoding them —
+// and Tuner::tell_evaluated takes the outcomes and totals.  Replacing the
+// session bytes is sound because the mirror started from exactly what ASK
+// shipped and only one claim is ever outstanding, so the state after every
+// tell is bit-identical to having evaluated locally, and N concurrent
+// clients produce exactly the single-process run_study() result.
 //
 // Determinism across concurrent clients: a session has at most ONE
 // outstanding claim.  The first asker claims the next strategy batch;

@@ -313,8 +313,8 @@ inline std::uint64_t decode_tell_reply(const std::string& payload) {
 
 // --- kTuneImport -----------------------------------------------------------
 
-/// Seed a fresh session's statistics (legal only before its first ask, the
-/// same rule as Tuner::import_state).  kTuneExport's reply payload is the
+/// Seed a fresh session's statistics (legal only before its first batch is
+/// claimed, the rule of Tuner::import_state).  kTuneExport's reply payload is the
 /// raw serialized snapshot, no codec needed.
 inline std::string encode_import(const std::string& session,
                                  const std::string& snapshot) {

@@ -101,6 +101,12 @@ core::StatSnapshot SweepDriver::stats() const {
   return {};  // isolated: statistics die with each configuration
 }
 
+std::string SweepDriver::stats_bytes() const {
+  if (plan_.mode == SweepMode::Serial) return store_->snapshot_bytes();
+  if (plan_.mode == SweepMode::BatchShared) return base_.to_string();
+  return {};
+}
+
 void SweepDriver::import_stats(const core::StatSnapshot& snap) {
   if (snap.empty()) return;
   // Isolated sweeps reset statistics per configuration, so there is no

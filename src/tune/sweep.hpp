@@ -62,6 +62,10 @@ class SweepDriver {
   /// sweeps, whose statistics die with each configuration).
   core::StatSnapshot stats() const;
 
+  /// stats().to_string() without the deep copy: the shared statistics
+  /// serialized where they live ("" for isolated sweeps).
+  std::string stats_bytes() const;
+
   /// Replace the shared statistics (warm start / sharded resume).  In
   /// reset mode only the reset-surviving state (channels, size model) is
   /// kept — see the in-body comment.  Isolated sweeps have no shared

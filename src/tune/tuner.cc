@@ -48,7 +48,9 @@ double TuneResult::mean_log2_comp_err() const {
   return n == 0 ? 0.0 : s / n;
 }
 
-int TuneResult::best_predicted() const {
+namespace {
+
+int best_predicted_of(const std::vector<ConfigOutcome>& per_config) {
   int best = -1;
   for (std::size_t i = 0; i < per_config.size(); ++i) {
     if (!per_config[i].evaluated) continue;
@@ -57,6 +59,16 @@ int TuneResult::best_predicted() const {
   }
   return best < 0 ? 0 : best;
 }
+
+int evaluated_count(const std::vector<ConfigOutcome>& per_config) {
+  return static_cast<int>(
+      std::count_if(per_config.begin(), per_config.end(),
+                    [](const ConfigOutcome& oc) { return oc.evaluated; }));
+}
+
+}  // namespace
+
+int TuneResult::best_predicted() const { return best_predicted_of(per_config); }
 
 int TuneResult::best_true() const {
   int best = -1;
@@ -230,7 +242,6 @@ void Tuner::tell(const std::vector<ConfigOutcome>& outcomes) {
 }
 
 void Tuner::tell_evaluated(const std::vector<ConfigOutcome>& outcomes,
-                           const core::StatSnapshot& state,
                            const std::vector<ConfigTotals>& batch_totals) {
   CRITTER_CHECK(asked_, "tell_evaluated() without a claimed batch");
   CRITTER_CHECK(!evaluated_,
@@ -238,13 +249,7 @@ void Tuner::tell_evaluated(const std::vector<ConfigOutcome>& outcomes,
                 "tell_evaluated() reports an external evaluation instead");
   CRITTER_CHECK(batch_totals.size() == pending_.size(),
                 "tell_evaluated() totals must cover the claimed batch");
-  // The remote evaluate(): the mirror ran the batch against exactly the
-  // statistics ask() exposed and nothing else touched them (one batch
-  // outstanding), so its post-run state replaces ours wholesale — bitwise
-  // the state a local run_batch would have left.  A diff/merge round trip
-  // would only be a float-algebraic identity and drift by ulps per tell.
   evaluated_ = true;
-  if (!state.empty()) driver_->import_stats(state);
   for (std::size_t k = 0; k < pending_.size(); ++k) {
     ConfigTotals& t = totals_[pending_[k]];
     t.tuning_time += batch_totals[k].tuning_time;
@@ -308,8 +313,7 @@ TuneResult Tuner::result() const {
   out.effective_workers = driver_->effective_workers();
   out.batch = driver_->mode() == SweepMode::BatchShared ? driver_->batch() : 0;
   out.fallback_reason = driver_->fallback_reason();
-  for (const ConfigOutcome& oc : out.per_config)
-    if (oc.evaluated) ++out.evaluated_configs;
+  out.evaluated_configs = evaluated_count(per_config_);
   out.per_config_totals = totals_;
   for (const ConfigTotals& t : totals_) {
     out.tuning_time += t.tuning_time;
@@ -321,6 +325,10 @@ TuneResult Tuner::result() const {
   out.phases = phases_;
   return out;
 }
+
+int Tuner::best_predicted() const { return best_predicted_of(per_config_); }
+
+int Tuner::evaluated_configs() const { return evaluated_count(per_config_); }
 
 // ---------------------------------------------------------------------------
 // run_study / merge_shards: drivers over the session

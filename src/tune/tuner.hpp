@@ -266,18 +266,13 @@ class Tuner {
   void tell(const std::vector<ConfigOutcome>& outcomes);
 
   /// The remote form of evaluate()+tell(): report a claimed batch that a
-  /// *mirror* evaluator ran elsewhere (a SweepDriver seeded with this
-  /// session's export_state() and fed this session's control()), together
-  /// with the mirror's FULL post-evaluation statistics and the per-entry
-  /// totals contributions, in batch order.  The mirror's state *replaces*
-  /// this session's — the mirror started from exactly the statistics ask()
-  /// exposed, and only one batch is ever outstanding, so its post-run state
-  /// IS the state a local evaluate() would have left.  Replacement (not a
-  /// diff/merge round trip, which is only a float-algebraic identity, not a
-  /// bitwise one) is what makes daemon-mediated tuning bit-reproduce the
-  /// in-process sweep (DESIGN.md §12.3).  Then tells the outcomes.
+  /// *mirror* evaluator ran elsewhere (a SweepDriver fed this session's
+  /// control()), with the per-entry totals contributions, in batch order.
+  /// The mirror's statistics are not this session's business: the caller
+  /// (the tuner daemon) keeps the session's statistics as serialized bytes
+  /// itself (DESIGN.md §12.3), so this session's own statistics stay
+  /// whatever they were.  Accumulates the totals, then tells the outcomes.
   void tell_evaluated(const std::vector<ConfigOutcome>& outcomes,
-                      const core::StatSnapshot& state,
                       const std::vector<ConfigTotals>& batch_totals);
 
   /// Evaluation hints the last ask() snapshotted for the claimed batch —
@@ -333,6 +328,11 @@ class Tuner {
   /// Assemble the TuneResult from the outcomes observed so far (callable
   /// mid-session for a partial view).
   TuneResult result() const;
+
+  /// result().best_predicted() and result().evaluated_configs without
+  /// assembling (copying) the result — the tuner daemon's STATUS path.
+  int best_predicted() const;
+  int evaluated_configs() const;
 
  private:
   Study study_;

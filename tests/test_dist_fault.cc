@@ -480,6 +480,24 @@ TEST(CheckpointFormat, WrongRangeOrStudyIsRejectedEvenWithValidChecksum) {
       std::runtime_error);
 }
 
+TEST(CheckpointFormat, PreviousVersionIsRejectedByName) {
+  // A CRCKPT01 slot (FNV-1a trailer) left in a state directory by an older
+  // build is named as such, not reported as a corrupt trailer.
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
+  const dist::ShardRange range{1, 4, 8};
+  std::string payload =
+      dist::serialize_checkpoint(sample_checkpoint(study, range));
+  payload[7] = '1';  // "CRCKPT02" -> "CRCKPT01"
+  try {
+    dist::parse_checkpoint(payload, study, range);
+    FAIL() << "version-1 checkpoint parsed successfully";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version-1 checkpoint"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Incremental checkpoint records: roundtrip, log framing, continuity fuzz
 // ---------------------------------------------------------------------------

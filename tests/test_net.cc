@@ -17,6 +17,7 @@
 #include "net/blob.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "util/hash.hpp"
 
 namespace core = critter::core;
 namespace net = critter::net;
@@ -33,6 +34,38 @@ std::string fuzz_payload(std::size_t n = 200) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Transport checksum (util::checksum64)
+// ---------------------------------------------------------------------------
+
+TEST(Checksum64, EveryFlipTruncationAndZeroAppendChangesIt) {
+  // The frame, log-record, checkpoint, and manifest checksum.  Each word it
+  // absorbs passes through a bijection, so any single-byte change must
+  // move it; the length feeds the finalizer, so truncations and appended
+  // zero bytes (which a zero-padded tail word alone could not see) must
+  // move it too.
+  const std::string buf = fuzz_payload(1024);
+  const auto sum = [](const std::string& s) {
+    return critter::util::checksum64(s.data(), s.size());
+  };
+  const std::uint64_t ref = sum(buf);
+  for (std::size_t at = 0; at < buf.size(); ++at) {
+    for (unsigned char x : {0x01, 0x80, 0xFF}) {
+      std::string flipped = buf;
+      flipped[at] = static_cast<char>(flipped[at] ^ x);
+      EXPECT_NE(sum(flipped), ref) << "flip 0x" << std::hex << int(x)
+                                   << std::dec << " at byte " << at;
+    }
+  }
+  for (std::size_t len = 0; len < buf.size(); ++len)
+    EXPECT_NE(sum(buf.substr(0, len)), ref) << "truncation to " << len;
+  for (std::size_t extra = 1; extra <= 64; ++extra)
+    EXPECT_NE(sum(buf + std::string(extra, '\0')), ref)
+        << extra << " zero bytes appended";
+  // Deterministic: the same bytes always checksum the same.
+  EXPECT_EQ(sum(std::string(buf)), ref);
+}
 
 // ---------------------------------------------------------------------------
 // Frame codec
@@ -108,6 +141,22 @@ TEST(Frame, EveryByteCorruptionIsRejected) {
     net::Frame f;
     EXPECT_THROW(net::decode_frame(bad, f), std::runtime_error)
         << "flipped byte " << at;
+  }
+}
+
+TEST(Frame, PreviousFrameVersionIsRejectedByName) {
+  // A CRF1 peer (FNV-1a frame checksums) is a mixed build, named as such
+  // rather than reported as a checksum mismatch or a foreign stream.
+  std::string bytes = net::encode_frame(net::kHello, "hello");
+  std::memcpy(bytes.data(), &net::kFrameMagicV1, 4);
+  net::Frame f;
+  try {
+    net::decode_frame(bytes, f);
+    FAIL() << "version-1 frame decoded successfully";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("frame version 1"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -303,9 +352,27 @@ TEST(Blob, WireCountersMeterCompletedTransfers) {
   EXPECT_EQ(net::wire_counters().frames_received, 0u);
 }
 
+TEST(Blob, PreviousManifestKeyIsAStaleManifestFromAnOlderBuild) {
+  // Publish manifests renamed their checksum key with the checksum change
+  // (fnv= -> sum64=); a leftover old-build manifest is named as such.
+  const std::string payload = fuzz_payload();
+  EXPECT_NO_THROW(core::check_publish_manifest(
+      core::publish_manifest(payload), payload, "fresh.snap.ok"));
+  try {
+    core::check_publish_manifest(
+        "bytes=" + std::to_string(payload.size()) + "\nfnv=1234abcd\n",
+        payload, "old.snap.ok");
+    FAIL() << "old-build manifest accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stale manifest"), std::string::npos) << what;
+    EXPECT_NE(what.find("older build"), std::string::npos) << what;
+  }
+}
+
 TEST(Blob, CorruptedPublishedPayloadIsAStaleManifest) {
   // Overwrite a published payload behind the manifest's back: the reader
-  // must report a stale manifest (size/FNV mismatch), exactly like the
+  // must report a stale manifest (size/checksum mismatch), exactly like the
   // run-directory protocol — never return the corrupted bytes.
   const std::string root = core::make_temp_dir("critter_blob_stale");
   net::DirStore dir(root);

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/fsio.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -425,6 +427,41 @@ TEST(ObsTrace, MergePreservesProcessRows) {
   EXPECT_EQ(meta, 2) << "one process_name metadata row per shard";
   EXPECT_TRUE(saw0);
   EXPECT_TRUE(saw1);
+}
+
+TEST(ObsTrace, SpansAfterAFleetMergeReachTheEnvFile) {
+  // Regression: a fleet merge used to mark CRITTER_TRACE's file as written,
+  // so every span the merging process recorded afterwards was dropped.
+  // Emit, merge (adopt a shard's document), emit, flush: the file must
+  // carry both own spans and the shard's events.
+  const std::string dir = critter::core::make_temp_dir("critter_obs_env");
+  const std::string path = dir + "/trace.json";
+  ::setenv("CRITTER_TRACE", path.c_str(), 1);
+  obs::trace_reset_for_tests();
+  obs::trace_force(true);
+  { obs::ScopedSpan before("before.merge", "test"); }
+  obs::trace_adopt_docs(
+      {"{\"traceEvents\":[{\"name\":\"shard.tick\",\"cat\":\"test\","
+       "\"ph\":\"i\",\"ts\":1,\"pid\":7,\"tid\":1,\"s\":\"t\"}]}"},
+      {{7, "shard 7"}});
+  { obs::ScopedSpan after("after.merge", "test"); }
+  obs::trace_flush_env();
+  const std::string written = critter::core::read_file(path);
+  ::unsetenv("CRITTER_TRACE");
+  obs::trace_unforce();
+  obs::trace_reset_for_tests();
+  critter::core::remove_dir_tree(dir);
+
+  const Json doc = parse_json(written);
+  std::map<std::string, int> seen;
+  for (const Json& ev : doc.at("traceEvents").arr) {
+    if (ev.at("ph").str == "M") continue;
+    check_trace_event_schema(ev);
+    ++seen[ev.at("name").str];
+  }
+  EXPECT_EQ(seen["before.merge"], 1) << written;
+  EXPECT_EQ(seen["after.merge"], 1) << written;
+  EXPECT_EQ(seen["shard.tick"], 1) << written;
 }
 
 // ---------------------------------------------------------------------------

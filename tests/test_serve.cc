@@ -11,6 +11,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "tune/tuner.hpp"
+#include "util/hash.hpp"
 
 namespace core = critter::core;
 namespace net = critter::net;
@@ -290,6 +292,92 @@ TEST(Daemon, JournalAppendsSparseRecordsBetweenFullSlots) {
   EXPECT_TRUE(core::published(sdir, "ckpt_a.bin") ||
               core::published(sdir, "ckpt_b.bin"));
   EXPECT_TRUE(core::file_exists(sdir + "/ckpt_log.bin"));
+}
+
+TEST(Daemon, MalformedPatchChunkIsRejectedWithoutTouchingTheSession) {
+  // The daemon never decodes the statistics it holds, so a patch chunk
+  // whose checksum is right but whose body is not a rank table must be
+  // caught by apply_sparse_patch's structural check — rejected by name,
+  // before any state changes.
+  const tune::Study study = small_study();
+  const tune::TuneOptions opt = adaptive_options();
+  const tune::TuneResult ref = tune::run_study(study, opt);
+  TempDir dir("critter_serve_malformed");
+  serve::TunerDaemon daemon({dir.path});
+  serve::ClientOptions partial = client_options(daemon.port());
+  partial.max_batches = 2;
+  serve::TunerClient warmup(study, opt, "bad", partial);
+  ASSERT_EQ(warmup.run().tells, 2);
+
+  // One connection claims a batch and tells it with the forged patch.
+  net::Connection conn =
+      net::Connection::connect("127.0.0.1", daemon.port(), 5.0);
+  const auto call = [&conn](std::uint32_t verb, const std::string& payload) {
+    net::send_frame(conn, verb, payload, 5.0);
+    return net::recv_frame(conn, 5.0);
+  };
+  ASSERT_EQ(call(net::kHello, serve::kTuneService).verb, net::kOk);
+  const auto ask = [&](std::uint64_t have_gen) {
+    const net::Frame f = call(net::kTuneAsk,
+                              serve::encode_ask_request({"bad", have_gen}));
+    EXPECT_EQ(f.verb, net::kOk) << f.payload;
+    return serve::decode_ask_reply(f.payload);
+  };
+  const serve::AskReply ar = ask(0);
+  ASSERT_FALSE(ar.done);
+  ASSERT_FALSE(ar.state.empty());
+  const int nranks = core::StatSnapshot::from_string(ar.state).nranks();
+
+  // Rank 0's chunk: an epoch, then a kernel count far beyond the bytes
+  // that follow (six zero counts), under a correct FNV-1a chunk checksum.
+  std::string body(8 + 6 * 8, '\0');
+  const std::uint64_t kernels = 1000;
+  std::memcpy(body.data() + 8, &kernels, 8);
+  core::WireWriter pw;
+  pw.raw("CRSPRS1\n", 8);
+  pw.u32(core::StatSnapshot::current_version());
+  pw.u32(static_cast<std::uint32_t>(nranks));
+  pw.u8(0);  // mode 0: patch against the session state
+  for (int r = 0; r < nranks; ++r) pw.i64(0);
+  pw.u32(1);  // one dirty rank
+  pw.u32(0);
+  pw.u64(body.size());
+  pw.u64(critter::util::fnv1a(body.data(), body.size()));
+  pw.raw(body.data(), body.size());
+
+  serve::TellRequest trq;
+  trq.session = "bad";
+  trq.base_gen = ar.state_gen;
+  trq.batch = ar.batch;
+  for (int pos : ar.batch) {
+    tune::ConfigOutcome oc;
+    oc.config = study.configs[static_cast<std::size_t>(pos)];
+    trq.outcomes.push_back(oc);
+    trq.totals.emplace_back();
+  }
+  trq.state = pw.out;
+  const net::Frame rp = call(net::kTuneTell, serve::encode_tell(trq));
+  EXPECT_EQ(rp.verb, net::kErr);
+  EXPECT_NE(rp.payload.find("declares more kernel records than it holds"),
+            std::string::npos)
+      << rp.payload;
+
+  // Nothing moved: the claim re-issues at the same generation (state mode
+  // 0 — no bytes shipped), and EXPORT returns the bytes ASK shipped.
+  const serve::AskReply again = ask(ar.state_gen);
+  EXPECT_EQ(again.state_gen, ar.state_gen);
+  EXPECT_EQ(again.state_mode, 0);
+  EXPECT_EQ(again.batch, ar.batch);
+  const net::Frame ex =
+      call(net::kTuneExport, serve::encode_session_ref("bad"));
+  EXPECT_EQ(ex.payload, ar.state);
+  conn.close();
+
+  // And the session still finishes exactly like the in-process sweep.
+  serve::TunerClient finisher(study, opt, "bad",
+                              client_options(daemon.port()));
+  EXPECT_TRUE(finisher.run().done);
+  expect_matches_in_process(finisher, ref, "after a rejected patch");
 }
 
 // ---------------------------------------------------------------------------

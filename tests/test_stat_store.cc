@@ -253,6 +253,24 @@ TEST(StatSnapshot, StoreSnapshotRestoreRoundTrips) {
   for (const core::KernelTable& t : delta.ranks) EXPECT_TRUE(t.K.empty());
 }
 
+TEST(StatSnapshot, InPlaceSerializationMatchesTheSnapshotBytes) {
+  // Store::snapshot_bytes / serialize_tables write the live tables where
+  // they are; the bytes must be exactly snapshot().to_string()'s.
+  for (bool extrapolate : {false, true}) {
+    const core::StatSnapshot snap =
+        sweep_snapshot(Policy::EagerPropagation, extrapolate);
+    critter::Config pc;
+    pc.mode = critter::ExecMode::Model;
+    critter::Store store(snap.nranks(), pc);
+    EXPECT_EQ(store.snapshot_bytes(), store.snapshot().to_string());
+    store.restore(snap);
+    EXPECT_EQ(store.snapshot_bytes(), snap.to_string());
+    std::vector<const core::KernelTable*> tables;
+    for (const core::KernelTable& t : snap.ranks) tables.push_back(&t);
+    EXPECT_EQ(core::serialize_tables(tables), snap.to_string());
+  }
+}
+
 TEST(StatSnapshot, BinarySerializationRoundTrips) {
   for (bool extrapolate : {false, true}) {
     const core::StatSnapshot snap =
@@ -569,11 +587,21 @@ void put_i64(std::string& s, std::int64_t v) {
   s.append(reinterpret_cast<const char*>(&v), 8);
 }
 
+/// The canonical clean chunk body: epoch 5 + six zero record counts.
+std::string clean_chunk_body() {
+  std::string body(8 + 6 * 8, '\0');
+  const std::int64_t epoch = 5;
+  std::memcpy(body.data(), &epoch, 8);
+  return body;
+}
+
 /// Hand-craft a sparse payload with attacker-chosen rank indices; every
-/// chunk is the canonical clean body (epoch + six zero counts) with a
-/// *correct* checksum, so only the index structure is under test.
+/// chunk is `body` (by default the clean body) under a *correct* checksum,
+/// so only the index structure — or the body's record structure — is
+/// under test.
 std::string craft_sparse(std::uint32_t nranks, std::uint8_t mode,
-                         const std::vector<std::uint32_t>& dirty_ranks) {
+                         const std::vector<std::uint32_t>& dirty_ranks,
+                         const std::string& body = clean_chunk_body()) {
   std::string s;
   s.append("CRSPRS1\n");
   put_u32(s, core::StatSnapshot::current_version());
@@ -581,9 +609,6 @@ std::string craft_sparse(std::uint32_t nranks, std::uint8_t mode,
   s.push_back(static_cast<char>(mode));
   for (std::uint32_t r = 0; r < nranks; ++r) put_i64(s, 5);
   put_u32(s, static_cast<std::uint32_t>(dirty_ranks.size()));
-  std::string body(8 + 6 * 8, '\0');
-  const std::int64_t epoch = 5;
-  std::memcpy(body.data(), &epoch, 8);
   for (std::uint32_t rank : dirty_ranks) {
     put_u32(s, rank);
     put_u64(s, body.size());
@@ -631,31 +656,31 @@ TEST(SparseTransport, EpochOnlyChangeShipsNoChunk) {
   EXPECT_EQ(core::apply_sparse_patch(base_full, patch), new_full);
 }
 
-TEST(SparseTransport, InPlaceApplyTracksBytesAndSnapshotTogether) {
+TEST(SparseTransport, ChainedPatchesTrackBytesAndSnapshotTogether) {
+  // A holder of serialized state (the tuner daemon) splices patch after
+  // patch and never decodes; the bytes it ends up with must decode to the
+  // producer's statistics at every step.
   const auto [base, evolved] = patch_pair();
   std::string bytes = base.to_string();
-  core::StatSnapshot snap = core::StatSnapshot::from_string(bytes);
-  const std::uint64_t clean_version = snap.ranks[0].version;
 
   const std::string new_full = evolved.to_string();
-  core::apply_sparse_patch_in_place(
-      bytes, snap, core::encode_sparse_patch(bytes, new_full));
+  bytes = core::apply_sparse_patch(bytes,
+                                   core::encode_sparse_patch(bytes, new_full));
   EXPECT_EQ(bytes, new_full);
-  EXPECT_TRUE(snap.same_statistics(core::StatSnapshot::from_string(new_full)));
-  // Only the dirty rank's table was rebuilt (and its version bumped); the
-  // clean rank kept its decoded table untouched.
-  EXPECT_EQ(snap.ranks[0].version, clean_version);
-  EXPECT_GT(snap.ranks[1].version, clean_version);
+  EXPECT_TRUE(core::StatSnapshot::from_string(bytes).same_statistics(
+      core::StatSnapshot::from_string(new_full)));
 
-  // Chain a second patch (epoch-only this time) onto the updated cache.
+  // Chain a second patch (epoch-only this time) onto the spliced bytes.
   core::StatSnapshot further = evolved;
   further.ranks[0].epoch += 3;
   const std::string next_full = further.to_string();
-  core::apply_sparse_patch_in_place(
-      bytes, snap, core::encode_sparse_patch(bytes, next_full));
+  bytes = core::apply_sparse_patch(bytes,
+                                   core::encode_sparse_patch(bytes, next_full));
   EXPECT_EQ(bytes, next_full);
-  EXPECT_EQ(snap.ranks[0].epoch, further.ranks[0].epoch);
-  EXPECT_TRUE(snap.same_statistics(core::StatSnapshot::from_string(next_full)));
+  const core::StatSnapshot decoded = core::StatSnapshot::from_string(bytes);
+  EXPECT_EQ(decoded.ranks[0].epoch, further.ranks[0].epoch);
+  EXPECT_TRUE(decoded.same_statistics(
+      core::StatSnapshot::from_string(next_full)));
 }
 
 TEST(SparseTransport, StandaloneDeltaExpandsBitIdentical) {
@@ -754,6 +779,41 @@ TEST(SparseTransport, ForgedRankIndicesAreRejected) {
   const std::string base_full = small_snapshot().to_string();
   EXPECT_THROW(core::apply_sparse_patch(base_full, craft_sparse(3, 0, {})),
                std::runtime_error);
+}
+
+TEST(SparseTransport, StructurallyMalformedChunksAreRejected) {
+  // Chunks with a *correct* checksum but a body whose record structure does
+  // not add up: apply_sparse_patch walks the counts (without decoding) and
+  // must refuse every one of them, as a full decode would.
+  const std::string base_full = small_snapshot().to_string();
+  const std::string clean = clean_chunk_body();
+  EXPECT_NO_THROW(core::apply_sparse_patch(base_full,
+                                           craft_sparse(2, 0, {1}, clean)));
+  const auto with_count = [&](std::size_t section, std::uint64_t count) {
+    std::string body = clean;
+    std::memcpy(body.data() + 8 + 8 * section, &count, 8);
+    return body;
+  };
+  std::vector<std::pair<std::string, std::string>> bad = {
+      {"kernel count larger than the chunk", with_count(0, 1)},
+      {"key count larger than the chunk", with_count(1, 1)},
+      {"pending count larger than the chunk", with_count(2, 1)},
+      {"tombstone count larger than the chunk", with_count(3, 1)},
+      {"channel count larger than the chunk", with_count(4, 1)},
+      {"bucket count larger than the chunk", with_count(5, 1)},
+      {"count overflowing the byte bound", with_count(0, ~0ull / 2)},
+      {"trailing bytes", clean + std::string(8, '\0')},
+      {"chunk shorter than its counts", clean.substr(0, clean.size() - 8)},
+  };
+  for (const auto& [what, body] : bad) {
+    try {
+      core::apply_sparse_patch(base_full, craft_sparse(2, 0, {1}, body));
+      ADD_FAILURE() << what << ": malformed chunk accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("snapshot"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
 }
 
 TEST(DirtyTracking, EveryMutationPathBumpsTheVersion) {
