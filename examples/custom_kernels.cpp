@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   // The session's statistics are a first-class value: serialize them and a
   // later process can warm-start from exactly this state.
   std::stringstream buf;
-  session.export_state().save(buf, critter::core::StatSnapshot::Format::Binary);
+  session.export_state().save(buf);
   std::printf("exported session statistics: %zu bytes (binary snapshot)\n",
               buf.str().size());
   return 0;

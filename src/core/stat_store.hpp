@@ -12,9 +12,10 @@
 //     exact diff() (merge inverse) for extracting a sweep worker's batch
 //     contribution;
 //   * StatSnapshot  — all ranks' tables, the unit of snapshot/restore on a
-//     profiler Store and of warm-start persistence: a versioned binary or
-//     JSON serialization (save()/load()) lets a sweep resume in another
-//     process with bit-identical statistics.
+//     profiler Store and of warm-start persistence: one chunked binary
+//     serialization (save()/load(), on the shared core/wire_codec.hpp byte
+//     codec) lets a sweep resume in another process with bit-identical
+//     statistics.
 //
 // Determinism contract: merge() is a pure function of its two operands —
 // per-key operations are independent and channel/bucket iteration happens
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -127,41 +127,32 @@ struct StatSnapshot {
   /// Per-rank exact merge inverse (see KernelTable::diff): *this* must have
   /// evolved on top of `base`; base.merge(diff) reproduces it.  The delta
   /// carries pending tombstones, so it round-trips through save()/load()
-  /// (version >= 2) without losing exactness — the unit of the distributed
-  /// executors' incremental publishes.
+  /// without losing exactness — the unit of the distributed executors'
+  /// incremental publishes.
   StatSnapshot diff(const StatSnapshot& base) const;
 
   bool same_statistics(const StatSnapshot& other) const;
 
-  enum class Format : std::uint8_t { Binary, Json };
-
-  /// Current serialization version (written by default) and the oldest
-  /// version load() upgrades from via a registered hook.
+  /// The serialization version save() writes and load() accepts.
   static std::uint32_t current_version();
-  static std::uint32_t oldest_upgradable_version();
 
-  /// Versioned serialization.  Binary is the compact exact format — since
-  /// version 2 each rank table is a length-prefixed, checksummed chunk, so
-  /// truncation and corruption are detected before any record is decoded;
-  /// JSON is the interoperable one (doubles printed with 17 significant
-  /// digits, so both round-trip bit-exactly).  `version` may name the
-  /// previous version to produce files for older readers (the snapshot must
-  /// then carry no version-2-only state, i.e. no pending tombstones).
-  void save(std::ostream& os, Format fmt) const;
-  void save(std::ostream& os, Format fmt, std::uint32_t version) const;
-  void save_file(const std::string& path, Format fmt = Format::Binary) const;
+  /// The binary snapshot: magic, version, rank count, then each rank table
+  /// as a length-prefixed, FNV-checksummed chunk, so truncation and
+  /// corruption are detected before any record is decoded.  Doubles travel
+  /// as their raw bits, so statistics round-trip bit-exactly.
+  void save(std::ostream& os) const;
+  void save_file(const std::string& path) const;
 
-  /// Serialize to an in-memory payload (current version).  The binary
-  /// encoder writes straight into the returned buffer — the hot path for
-  /// the distributed executors' delta publishes, which frame the payload
-  /// themselves and never want a stream in between.
-  std::string to_string(Format fmt = Format::Binary) const;
+  /// Serialize to an in-memory payload.  The encoder writes straight into
+  /// the returned buffer — the hot path for the distributed executors'
+  /// delta publishes, which frame the payload themselves and never want a
+  /// stream in between.
+  std::string to_string() const;
 
-  /// Load either format (auto-detected from the leading bytes).  Snapshots
-  /// of the previous version are accepted when an upgrade hook is
-  /// registered for it (the library pre-registers the v1 -> v2 hook).
+  /// Load a snapshot (or a mode-1 sparse delta, expanded on the fly).
   /// Throws std::runtime_error on truncated, corrupt, or unsupported-
-  /// version input — always before returning partial state.
+  /// version input — the version named in the message — always before
+  /// returning partial state.
   /// from_string decodes a borrowed payload in place (rank chunks are
   /// checksummed and parsed without copying); load_file prefers an mmap of
   /// the file for the same zero-copy decode, falling back to a stream read.
@@ -267,16 +258,5 @@ std::string encode_sparse_delta(const StatSnapshot& delta);
 /// Expand a mode-1 sparse delta to the exact full v2 payload it encodes.
 /// Rejects mode-0 patches (those need a base only their producer holds).
 std::string expand_sparse_delta(std::string_view sparse);
-
-/// Cross-version migration scaffolding: a hook registered for version `v`
-/// upgrades a snapshot decoded with version v's physical layout to the
-/// current version's semantics.  load() consults the registry whenever it
-/// meets a version-`current - 1` file; without a registered hook the load
-/// fails with an unsupported-version error.  Re-registering replaces the
-/// hook (user code may wrap the built-in one).
-using SnapshotUpgradeHook = std::function<void(StatSnapshot&)>;
-void register_snapshot_upgrade(std::uint32_t from_version,
-                               SnapshotUpgradeHook hook);
-bool snapshot_upgrade_registered(std::uint32_t from_version);
 
 }  // namespace critter::core

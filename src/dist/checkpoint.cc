@@ -45,15 +45,10 @@ void write_snapshot_blob(WireWriter& w, const core::StatSnapshot& snap,
 /// bytes (the splice base for byte patches).
 core::StatSnapshot read_snapshot_blob(WireReader& r, std::string* bytes) {
   const std::int64_t len = r.i64();
-  CRITTER_CHECK(len >= 0 && r.pos + static_cast<std::size_t>(len) <=
-                                r.in.size(),
-                "shard checkpoint: truncated snapshot blob");
-  if (bytes) bytes->clear();
-  if (len == 0) return {};
-  const std::string_view blob =
-      std::string_view(r.in).substr(r.pos, static_cast<std::size_t>(len));
-  r.pos += static_cast<std::size_t>(len);
+  CRITTER_CHECK(len >= 0, "shard checkpoint: negative snapshot blob length");
+  const std::string_view blob = r.bytes(static_cast<std::size_t>(len));
   if (bytes) bytes->assign(blob);
+  if (blob.empty()) return {};
   return core::StatSnapshot::from_string(blob);
 }
 
@@ -194,11 +189,8 @@ void write_patch_blob(WireWriter& w, const std::string& patch) {
 
 std::string read_patch_blob(WireReader& r) {
   const std::int64_t len = r.i64();
-  CRITTER_CHECK(len >= 0 && r.pos + static_cast<std::size_t>(len) <=
-                                r.in.size(),
-                "checkpoint increment: truncated patch blob");
-  std::string out(r.in.data() + r.pos, static_cast<std::size_t>(len));
-  r.pos += static_cast<std::size_t>(len);
+  CRITTER_CHECK(len >= 0, "checkpoint increment: negative patch blob length");
+  std::string out(r.bytes(static_cast<std::size_t>(len)));
   // Shape check only ("" / sparse / full snapshot payload); the chunk-level
   // validation happens when apply_increment splices and re-decodes.
   CRITTER_CHECK(out.empty() || core::is_sparse_payload(out) ||

@@ -148,8 +148,7 @@ ShardResult parse_result(const std::string& payload, const tune::Study& study,
     read_totals(r, out.totals[j]);
   }
   if (r.u8() != 0) {
-    out.stats = core::StatSnapshot::from_string(
-        std::string_view(payload).substr(r.pos));
+    out.stats = core::StatSnapshot::from_string(r.bytes(r.remaining()));
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #include <mutex>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace critter::obs {
 
@@ -46,16 +47,6 @@ std::string num(double v) {
     std::snprintf(buf, sizeof buf, "%.17g", v);
   }
   return buf;
-}
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -151,11 +142,11 @@ std::string metrics_json() {
   for (const auto& [name, e] : r.entries) {
     if (e.counter) {
       if (!counters.empty()) counters += ",";
-      counters += quote(name) + ":" +
+      counters += util::json_quote(name) + ":" +
                   num(static_cast<double>(e.counter->value()));
     } else if (e.gauge) {
       if (!gauges.empty()) gauges += ",";
-      gauges += quote(name) + ":" + num(e.gauge->value());
+      gauges += util::json_quote(name) + ":" + num(e.gauge->value());
     } else if (e.histogram) {
       if (!histograms.empty()) histograms += ",";
       std::string buckets;
@@ -168,13 +159,13 @@ std::string metrics_json() {
         buckets += "[" + bound + "," +
                    num(static_cast<double>(counts[i])) + "]";
       }
-      histograms += quote(name) + ":{\"count\":" +
+      histograms += util::json_quote(name) + ":{\"count\":" +
                     num(static_cast<double>(e.histogram->count())) +
                     ",\"sum\":" + num(e.histogram->sum()) +
                     ",\"buckets\":[" + buckets + "]}";
     }
   }
-  return "{\"phase\":" + quote(current_phase()) + ",\"counters\":{" +
+  return "{\"phase\":" + util::json_quote(current_phase()) + ",\"counters\":{" +
          counters + "},\"gauges\":{" + gauges + "},\"histograms\":{" +
          histograms + "}}";
 }

@@ -12,6 +12,7 @@
 #include <mutex>
 
 #include "obs/log.hpp"
+#include "util/json.hpp"
 
 namespace critter::obs {
 
@@ -114,20 +115,11 @@ void emit(const TraceEvent& ev) {
   ++r.next;
 }
 
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
-}
-
 void append_event_json(std::string& out, const TraceEvent& ev, int pid,
                        int tid) {
   char buf[256];
-  out += "{\"name\":\"" + json_escape(ev.name) + "\",\"cat\":\"" +
-         json_escape(ev.cat) + "\",\"ph\":\"";
+  out += "{\"name\":" + util::json_quote(ev.name) +
+         ",\"cat\":" + util::json_quote(ev.cat) + ",\"ph\":\"";
   out += ev.ph;
   std::snprintf(buf, sizeof buf, "\",\"ts\":%lld,\"pid\":%d,\"tid\":%d",
                 static_cast<long long>(ev.ts_us), pid, tid);
@@ -369,7 +361,7 @@ std::string trace_merge_chrome(
                                    "\"pid\":%d,\"tid\":0,",
                   pid);
     out += buf;
-    out += "\"args\":{\"name\":\"" + json_escape(name.c_str()) + "\"}}";
+    out += "\"args\":{\"name\":" + util::json_quote(name) + "}}";
   }
   for (const std::string& doc : docs) {
     const std::string body = chrome_body(doc);

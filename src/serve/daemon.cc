@@ -105,8 +105,7 @@ TellRecord parse_tell_record(const std::string& payload,
                              const tune::Study& study) {
   CRITTER_CHECK(is_tell_record(payload), "tell journal record: bad magic");
   const int nconfigs = static_cast<int>(study.configs.size());
-  core::WireReader r{payload};
-  r.pos = 8;
+  core::WireReader r{payload, 8};  // past the magic
   TellRecord rec;
   rec.seq = r.i64();
   CRITTER_CHECK(rec.seq > 0, "tell journal record: bad sequence number");
@@ -132,11 +131,9 @@ TellRecord parse_tell_record(const std::string& payload,
   }
   const std::int64_t blob_len = r.i64();
   CRITTER_CHECK(blob_len >= 0 &&
-                    r.pos + static_cast<std::size_t>(blob_len) ==
-                        payload.size(),
+                    static_cast<std::size_t>(blob_len) == r.remaining(),
                 "tell journal record: bad state blob length");
-  rec.state_blob.assign(payload.data() + r.pos,
-                        static_cast<std::size_t>(blob_len));
+  rec.state_blob.assign(r.bytes(static_cast<std::size_t>(blob_len)));
   return rec;
 }
 

@@ -46,6 +46,16 @@ inline bool valid_session_name(const std::string& name) {
   return true;
 }
 
+/// One [i32 length][bytes] blob — the framing every snapshot/state field of
+/// this protocol uses (snapshots can exceed WireReader::str's string bound).
+/// The length is bounds-checked by WireReader::bytes before anything is
+/// allocated, so a forged length costs nothing.
+inline std::string read_blob(core::WireReader& r, const char* what) {
+  const std::int32_t n = r.i32();
+  CRITTER_CHECK(n >= 0, std::string(what) + ": negative length");
+  return std::string(r.bytes(static_cast<std::size_t>(n)));
+}
+
 // --- kTuneOpen -------------------------------------------------------------
 
 /// Open (or join) a session: the manifest is the study/options identity in
@@ -74,16 +84,8 @@ inline OpenRequest decode_open(const std::string& payload) {
   OpenRequest rq;
   rq.session = r.str();
   rq.manifest = r.str();
-  // Snapshots can exceed the WireReader string bound; length-check manually.
-  const auto blob = [&r]() {
-    const std::int32_t n = r.i32();
-    CRITTER_CHECK(n >= 0, "tune open: negative snapshot length");
-    std::string s(static_cast<std::size_t>(n), '\0');
-    r.raw(s.data(), s.size());
-    return s;
-  };
-  rq.warm = blob();
-  rq.prior = blob();
+  rq.warm = read_blob(r, "tune open: warm snapshot");
+  rq.prior = read_blob(r, "tune open: prior snapshot");
   CRITTER_CHECK(r.done(), "tune open: trailing bytes");
   return rq;
 }
@@ -200,7 +202,11 @@ inline AskReply decode_ask_reply(const std::string& payload) {
     return rp;
   }
   const std::int32_t n = r.i32();
-  CRITTER_CHECK(n > 0 && n <= (1 << 20), "tune ask reply: implausible batch");
+  // Each position takes 4 bytes: a count the payload cannot hold is refused
+  // before anything is sized from it.
+  CRITTER_CHECK(n > 0 && n <= (1 << 20) &&
+                    static_cast<std::size_t>(n) <= r.remaining() / 4,
+                "tune ask reply: implausible batch");
   rp.batch.resize(static_cast<std::size_t>(n));
   for (int& pos : rp.batch) pos = r.i32();
   rp.control.early_discard = r.u8() != 0;
@@ -210,12 +216,7 @@ inline AskReply decode_ask_reply(const std::string& payload) {
   rp.state_gen = r.u64();
   rp.state_mode = r.u8();
   CRITTER_CHECK(rp.state_mode <= 1, "tune ask reply: unknown state mode");
-  if (rp.state_mode == 1) {
-    const std::int32_t sn = r.i32();
-    CRITTER_CHECK(sn >= 0, "tune ask reply: negative state length");
-    rp.state.resize(static_cast<std::size_t>(sn));
-    r.raw(rp.state.data(), rp.state.size());
-  }
+  if (rp.state_mode == 1) rp.state = read_blob(r, "tune ask reply: state");
   CRITTER_CHECK(r.done(), "tune ask reply: trailing bytes");
   return rp;
 }
@@ -273,7 +274,9 @@ inline void decode_tell_body(core::WireReader& r, const tune::Study& study,
                              TellRequest* rq) {
   rq->base_gen = r.u64();
   const std::int32_t n = r.i32();
-  CRITTER_CHECK(n > 0 && n <= (1 << 20), "tune tell: implausible batch");
+  CRITTER_CHECK(n > 0 && n <= (1 << 20) &&
+                    static_cast<std::size_t>(n) <= r.remaining() / 4,
+                "tune tell: implausible batch");
   rq->batch.resize(static_cast<std::size_t>(n));
   rq->outcomes.resize(static_cast<std::size_t>(n));
   rq->totals.resize(static_cast<std::size_t>(n));
@@ -289,10 +292,7 @@ inline void decode_tell_body(core::WireReader& r, const tune::Study& study,
                        "tune tell");
     dist::read_totals(r, rq->totals[static_cast<std::size_t>(k)]);
   }
-  const std::int32_t dn = r.i32();
-  CRITTER_CHECK(dn >= 0, "tune tell: negative state length");
-  rq->state.resize(static_cast<std::size_t>(dn));
-  r.raw(rq->state.data(), rq->state.size());
+  rq->state = read_blob(r, "tune tell: state");
   CRITTER_CHECK(r.done(), "tune tell: trailing bytes");
 }
 
@@ -329,10 +329,7 @@ inline void decode_import(const std::string& payload, std::string* session,
                           std::string* snapshot) {
   core::WireReader r{payload};
   *session = r.str();
-  const std::int32_t n = r.i32();
-  CRITTER_CHECK(n >= 0, "tune import: negative snapshot length");
-  snapshot->resize(static_cast<std::size_t>(n));
-  r.raw(snapshot->data(), snapshot->size());
+  *snapshot = read_blob(r, "tune import: snapshot");
   CRITTER_CHECK(r.done(), "tune import: trailing bytes");
 }
 

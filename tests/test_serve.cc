@@ -381,6 +381,102 @@ TEST(Daemon, MalformedPatchChunkIsRejectedWithoutTouchingTheSession) {
 }
 
 // ---------------------------------------------------------------------------
+// Protocol decoders: truncation and forged lengths
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A real serialized snapshot, so the blob fields carry what they carry in
+/// production (the decoders do not parse them).
+std::string snapshot_bytes(int nranks) {
+  core::StatSnapshot snap;
+  snap.ranks.resize(static_cast<std::size_t>(nranks));
+  for (core::KernelTable& t : snap.ranks) t.init_world(nranks);
+  return snap.to_string();
+}
+
+serve::TellRequest tell_request(const tune::Study& study) {
+  serve::TellRequest rq;
+  rq.session = "fuzz";
+  rq.base_gen = 7;
+  for (int pos : {1, 3}) {
+    rq.batch.push_back(pos);
+    tune::ConfigOutcome oc;
+    oc.config = study.configs[static_cast<std::size_t>(pos)];
+    oc.true_time = 0.5 * pos;
+    oc.evaluated = true;
+    rq.outcomes.push_back(oc);
+    rq.totals.emplace_back();
+  }
+  rq.state = snapshot_bytes(2);
+  return rq;
+}
+
+void decode_tell(const std::string& payload, const tune::Study& study) {
+  core::WireReader r{payload};
+  serve::TellRequest rq;
+  rq.session = serve::decode_tell_session(r);
+  serve::decode_tell_body(r, study, &rq);
+}
+
+}  // namespace
+
+TEST(ServeProtocol, EveryOpenAndTellTruncationIsRejected) {
+  const tune::Study study = small_study();
+  const std::string open = serve::encode_open(
+      {"fuzz", "manifest", snapshot_bytes(2), snapshot_bytes(3)});
+  const serve::OpenRequest back = serve::decode_open(open);
+  EXPECT_EQ(back.warm, snapshot_bytes(2));
+  EXPECT_EQ(back.prior, snapshot_bytes(3));
+  for (std::size_t len = 0; len < open.size(); ++len)
+    EXPECT_THROW(serve::decode_open(open.substr(0, len)), std::runtime_error)
+        << "open truncated at byte " << len << " decoded";
+
+  const std::string tell = serve::encode_tell(tell_request(study));
+  EXPECT_NO_THROW(decode_tell(tell, study));
+  for (std::size_t len = 0; len < tell.size(); ++len)
+    EXPECT_THROW(decode_tell(tell.substr(0, len), study), std::runtime_error)
+        << "tell truncated at byte " << len << " decoded";
+}
+
+TEST(ServeProtocol, ForgedLengthsAreRefusedBeforeAllocating) {
+  // A length field declaring 2 GiB that the payload does not hold must be
+  // refused by the bounds check before anything is allocated (the sanitizer
+  // job caps single allocations at 1 GiB, so an allocation would abort it),
+  // and so must a batch count the payload cannot hold.
+  const auto expect_error = [](const auto& decode, const char* what,
+                               const char* error) {
+    try {
+      decode();
+      ADD_FAILURE() << what << ": forged length accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  core::WireWriter open;
+  open.str("s");
+  open.str("m");
+  open.i32(0x7fffffff);  // the warm snapshot's length, nothing behind it
+  expect_error([&] { serve::decode_open(open.out); }, "open", "truncated");
+
+  const tune::Study study = small_study();
+  serve::TellRequest rq = tell_request(study);
+  rq.state.clear();
+  std::string tell = serve::encode_tell(rq);
+  const std::int32_t forged = 0x7fffffff;
+  std::memcpy(tell.data() + tell.size() - 4, &forged, 4);  // the state length
+  expect_error([&] { decode_tell(tell, study); }, "tell state", "truncated");
+
+  core::WireWriter batch;
+  batch.str("fuzz");
+  batch.u64(0);
+  batch.i32(1 << 20);  // batch size, no positions behind it
+  expect_error([&] { decode_tell(batch.out, study); }, "tell batch",
+               "implausible batch");
+}
+
+// ---------------------------------------------------------------------------
 // Daemon-as-a-process scenarios: kill -9 resume, SIGTERM flush
 // ---------------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 // Statistics-lifecycle subsystem (core/stat_store): deterministic merge,
 // exact merge inverse (diff), snapshot/restore round-trips on a profiler
-// Store, and versioned binary + JSON serialization round-trips including
-// SizeModel state.
+// Store, binary serialization round-trips including SizeModel state, and
+// the serialized bytes pinned across codec changes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -276,44 +276,18 @@ TEST(StatSnapshot, BinarySerializationRoundTrips) {
     const core::StatSnapshot snap =
         sweep_snapshot(Policy::ConditionalExecution, extrapolate);
     std::stringstream buf;
-    snap.save(buf, core::StatSnapshot::Format::Binary);
+    snap.save(buf);
     const core::StatSnapshot loaded = core::StatSnapshot::load(buf);
     EXPECT_TRUE(loaded.same_statistics(snap)) << "extrapolate=" << extrapolate;
   }
 }
 
-TEST(StatSnapshot, JsonSerializationRoundTrips) {
-  // Eager propagation populates aggregation hashes and (potentially)
-  // pending entries; extrapolation populates the size model.
-  for (Policy policy : {Policy::EagerPropagation, Policy::OnlinePropagation}) {
-    const core::StatSnapshot snap = sweep_snapshot(policy, true);
-    std::stringstream buf;
-    snap.save(buf, core::StatSnapshot::Format::Json);
-    const core::StatSnapshot loaded = core::StatSnapshot::load(buf);
-    EXPECT_TRUE(loaded.same_statistics(snap))
-        << critter::policy_name(policy);
-  }
-}
-
-TEST(StatSnapshot, JsonAndBinaryAgree) {
-  const core::StatSnapshot snap = sweep_snapshot(Policy::EagerPropagation, true);
-  std::stringstream jbuf, bbuf;
-  snap.save(jbuf, core::StatSnapshot::Format::Json);
-  snap.save(bbuf, core::StatSnapshot::Format::Binary);
-  EXPECT_TRUE(core::StatSnapshot::load(jbuf).same_statistics(
-      core::StatSnapshot::load(bbuf)));
-}
-
 TEST(StatSnapshot, FileRoundTripAutoDetectsFormat) {
   const core::StatSnapshot snap = sweep_snapshot(Policy::OnlinePropagation, true);
   const char* bin_path = "test_stat_store_snapshot.bin";
-  const char* json_path = "test_stat_store_snapshot.json";
-  snap.save_file(bin_path, core::StatSnapshot::Format::Binary);
-  snap.save_file(json_path, core::StatSnapshot::Format::Json);
+  snap.save_file(bin_path);
   EXPECT_TRUE(core::StatSnapshot::load_file(bin_path).same_statistics(snap));
-  EXPECT_TRUE(core::StatSnapshot::load_file(json_path).same_statistics(snap));
   std::remove(bin_path);
-  std::remove(json_path);
 }
 
 TEST(StatSnapshot, LoadRejectsGarbage) {
@@ -347,7 +321,7 @@ TEST(StatSnapshot, EveryBinaryTruncationIsRejected) {
   // records, an allocation blow-up, or silently partial state).
   const core::StatSnapshot snap = small_snapshot();
   std::ostringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Binary);
+  snap.save(buf);
   const std::string bytes = buf.str();
   ASSERT_GT(bytes.size(), 64u);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
@@ -363,27 +337,13 @@ TEST(StatSnapshot, EveryBinaryTruncationIsRejected) {
   }
 }
 
-TEST(StatSnapshot, EveryJsonTruncationIsRejected) {
-  const core::StatSnapshot snap = small_snapshot();
-  std::ostringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Json);
-  const std::string text = buf.str();
-  // The writer ends "]}\n": dropping only the trailing newline still
-  // leaves complete JSON, so truncate strictly inside the document.
-  for (std::size_t len = 1; len + 1 < text.size(); ++len) {
-    std::istringstream is(text.substr(0, len));
-    EXPECT_THROW(core::StatSnapshot::load(is), std::runtime_error)
-        << "at byte " << len;
-  }
-}
-
 TEST(StatSnapshot, EveryBinaryByteCorruptionIsRejected) {
   // Flip every byte in turn (XOR 0xFF).  Header corruption trips the
   // magic/version/rank-count checks; anything inside a rank chunk trips
   // its FNV checksum before a single record is decoded.
   const core::StatSnapshot snap = small_snapshot();
   std::ostringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Binary);
+  snap.save(buf);
   const std::string bytes = buf.str();
   for (std::size_t at = 0; at < bytes.size(); ++at) {
     std::string corrupt = bytes;
@@ -394,63 +354,40 @@ TEST(StatSnapshot, EveryBinaryByteCorruptionIsRejected) {
   }
 }
 
-TEST(StatSnapshot, PreviousVersionLoadsThroughUpgradeHook) {
-  // Cross-version migration: a version-1 file (the previous release's
-  // layout, no tombstone lists, no chunk framing) round-trips through the
-  // registered v1 -> v2 upgrade hook in both formats.
-  ASSERT_TRUE(core::snapshot_upgrade_registered(
-      core::StatSnapshot::oldest_upgradable_version()));
-  const core::StatSnapshot snap = sweep_snapshot(Policy::EagerPropagation, true);
-  for (const auto fmt : {core::StatSnapshot::Format::Binary,
-                         core::StatSnapshot::Format::Json}) {
-    std::stringstream buf;
-    snap.save(buf, fmt, core::StatSnapshot::oldest_upgradable_version());
-    EXPECT_TRUE(core::StatSnapshot::load(buf).same_statistics(snap));
-  }
-  // A user-registered hook replaces the built-in and actually runs.
-  core::register_snapshot_upgrade(1, [](core::StatSnapshot& s) {
-    for (core::KernelTable& t : s.ranks) t.epoch += 1000;
-  });
-  std::stringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Binary, 1);
-  const core::StatSnapshot upgraded = core::StatSnapshot::load(buf);
-  EXPECT_EQ(upgraded.ranks[0].epoch, snap.ranks[0].epoch + 1000);
-  core::register_snapshot_upgrade(1, [](core::StatSnapshot&) {});
-}
-
 TEST(StatSnapshot, UnknownVersionsAreRejected) {
   const core::StatSnapshot snap = sweep_snapshot(Policy::OnlinePropagation, false);
-  // Writing an unknown version is refused outright.
-  std::ostringstream sink;
-  EXPECT_THROW(snap.save(sink, core::StatSnapshot::Format::Binary, 3),
-               std::runtime_error);
-  EXPECT_THROW(snap.save(sink, core::StatSnapshot::Format::Binary, 0),
-               std::runtime_error);
-  // Reading one fails with the version named, both formats.
+  // Reading any version but the current one fails with the version named —
+  // including version 1, the unchunked layout of earlier releases.
   std::ostringstream buf;
-  snap.save(buf, core::StatSnapshot::Format::Binary);
-  std::string bytes = buf.str();
-  bytes[8] = 99;  // bytes [8,12) hold the little-endian version u32
-  std::istringstream is(bytes);
-  try {
-    core::StatSnapshot::load(is);
-    FAIL() << "unknown binary version accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  snap.save(buf);
+  for (const char version : {99, 1}) {
+    std::string bytes = buf.str();
+    bytes[8] = version;  // bytes [8,12) hold the little-endian version u32
+    std::istringstream is(bytes);
+    try {
+      core::StatSnapshot::load(is);
+      FAIL() << "binary version " << int{version} << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
-  std::stringstream js("{\"format\":\"critter-stat-snapshot\",\"version\":99,"
-                       "\"nranks\":1,\"ranks\":[{}]}");
-  EXPECT_THROW(core::StatSnapshot::load(js), std::runtime_error);
 }
 
-TEST(StatSnapshot, DeltaTombstonesSurviveSerialization) {
-  // A diff()-produced delta that tombstoned a pending entry must carry the
-  // tombstone through save/load — the file-borne exchange path depends on
-  // merge() seeing it on the far side.
+namespace {
+
+/// The kernel whose pending-eager entry tombstone_pair() absorbs.
+core::KernelKey tombstone_key() { return key_of(7, 256, 128); }
+
+/// base -> evolved pair where rank 0 absorbed a pending-eager entry at the
+/// kernel's first local sighting, so evolved.diff(base) tombstones it.
+std::pair<core::StatSnapshot, core::StatSnapshot> tombstone_pair() {
   core::StatSnapshot base;
   base.ranks.push_back(make_table(2, 1));
   base.ranks.push_back(make_table(2, 2));
-  const core::KernelKey pending_key = key_of(7, 256, 128);
+  const core::KernelKey pending_key = tombstone_key();
   base.ranks[0].pending_eager.emplace(pending_key.hash(),
                                       samples({0.5, 0.75}));
 
@@ -462,7 +399,16 @@ TEST(StatSnapshot, DeltaTombstonesSurviveSerialization) {
   evolved.ranks[0].K.emplace(pending_key, grown);
   evolved.ranks[0].key_of_hash.emplace(pending_key.hash(), pending_key);
   evolved.ranks[0].pending_eager.erase(pending_key.hash());
+  return {base, evolved};
+}
 
+}  // namespace
+
+TEST(StatSnapshot, DeltaTombstonesSurviveSerialization) {
+  // A diff()-produced delta that tombstoned a pending entry must carry the
+  // tombstone through save/load — the file-borne exchange path depends on
+  // merge() seeing it on the far side.
+  const auto [base, evolved] = tombstone_pair();
   const core::StatSnapshot delta = evolved.diff(base);
   ASSERT_EQ(delta.ranks[0].pending_tombstones.size(), 1u);
 
@@ -471,31 +417,24 @@ TEST(StatSnapshot, DeltaTombstonesSurviveSerialization) {
   core::StatSnapshot replay_mem = base;
   replay_mem.merge(delta);
   EXPECT_TRUE(replay_mem.ranks[0].pending_eager.empty());
-  EXPECT_EQ(replay_mem.ranks[0].K.at(pending_key).n, 3);
+  EXPECT_EQ(replay_mem.ranks[0].K.at(tombstone_key()).n, 3);
 
-  for (const auto fmt : {core::StatSnapshot::Format::Binary,
-                         core::StatSnapshot::Format::Json}) {
-    std::stringstream buf;
-    delta.save(buf, fmt);
-    const core::StatSnapshot loaded = core::StatSnapshot::load(buf);
-    EXPECT_EQ(loaded.ranks[0].pending_tombstones,
-              delta.ranks[0].pending_tombstones);
-    // load() (re-)registers the world channel in every table; a delta
-    // carries only new channels, so compare against that normal form.
-    core::StatSnapshot expect = delta;
-    for (core::KernelTable& t : expect.ranks) t.init_world(expect.nranks());
-    EXPECT_TRUE(loaded.same_statistics(expect));
-    // Folding the round-tripped delta is bit-identical to folding the
-    // in-memory one — including the absorb-once pending accounting, which
-    // only works if the tombstone survived the file.
-    core::StatSnapshot replay = base;
-    replay.merge(loaded);
-    EXPECT_TRUE(replay.same_statistics(replay_mem));
-  }
-  // ...and version 1 cannot represent it.
-  std::ostringstream sink;
-  EXPECT_THROW(delta.save(sink, core::StatSnapshot::Format::Binary, 1),
-               std::runtime_error);
+  std::stringstream buf;
+  delta.save(buf);
+  const core::StatSnapshot loaded = core::StatSnapshot::load(buf);
+  EXPECT_EQ(loaded.ranks[0].pending_tombstones,
+            delta.ranks[0].pending_tombstones);
+  // load() (re-)registers the world channel in every table; a delta
+  // carries only new channels, so compare against that normal form.
+  core::StatSnapshot expect = delta;
+  for (core::KernelTable& t : expect.ranks) t.init_world(expect.nranks());
+  EXPECT_TRUE(loaded.same_statistics(expect));
+  // Folding the round-tripped delta is bit-identical to folding the
+  // in-memory one — including the absorb-once pending accounting, which
+  // only works if the tombstone survived the file.
+  core::StatSnapshot replay = base;
+  replay.merge(loaded);
+  EXPECT_TRUE(replay.same_statistics(replay_mem));
 }
 
 TEST(StatSnapshot, SnapshotDiffIsMergeInverse) {
@@ -858,4 +797,42 @@ TEST(DirtyTracking, VersionIsTransportInvisible) {
   untouched.ranks.push_back(make_table(2, 1));
   untouched.ranks.push_back(make_table(2, 2));
   EXPECT_EQ(untouched.to_string(), s.to_string());
+}
+
+// ---------------------------------------------------------------------------
+// Serialized bytes pinned across codec changes
+// ---------------------------------------------------------------------------
+
+TEST(StatSnapshot, SerializedBytesArePinned) {
+  // Warm starts, checkpoints, exchange mailboxes and the daemon journal all
+  // persist these bytes, so a codec change must not move one of them.  The
+  // (checksum64, length) pairs were recorded from the serializer before the
+  // snapshot codec moved onto core::WireWriter/WireReader; the golden
+  // digests pin statistics, this pins the bytes that carry them.
+  struct Pin {
+    const char* what;
+    std::string bytes;
+    std::uint64_t sum;
+    std::size_t size;
+  };
+  const auto [base, evolved] = patch_pair();
+  const auto [tomb_base, tomb_evolved] = tombstone_pair();
+  const Pin pins[] = {
+      {"small snapshot", small_snapshot().to_string(), 0x0c27dbb43092e05aull,
+       1407},
+      {"golden online sweep",
+       critter::testing::golden_sweep("online").stats.to_string(),
+       0x0945c1af7ce6fd84ull, 442636},
+      {"tombstone sparse delta",
+       core::encode_sparse_delta(tomb_evolved.diff(tomb_base)),
+       0xe342c7767b056fe7ull, 276},
+      {"sparse patch",
+       core::encode_sparse_patch(base.to_string(), evolved.to_string()),
+       0x19f312dff5d88d78ull, 1238},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(p.bytes.size(), p.size) << p.what;
+    EXPECT_EQ(critter::util::checksum64(p.bytes.data(), p.bytes.size()), p.sum)
+        << p.what;
+  }
 }

@@ -481,7 +481,7 @@ TEST(ToyWorkload, SessionStateRoundTripsThroughSaveLoadResume) {
   while (s1.step()) {
   }
   std::stringstream buf;
-  s1.export_state().save(buf, core::StatSnapshot::Format::Binary);
+  s1.export_state().save(buf);
 
   // ...then a fresh session (fresh process, morally) resumes the rest from
   // the serialized state and reproduces the uninterrupted sweep exactly.

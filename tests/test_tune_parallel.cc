@@ -266,7 +266,7 @@ TEST(BatchSharedSweep, WarmStartResumeMatchesUninterrupted) {
   const auto r_first = tune::run_study(study, first);
 
   std::stringstream buf;
-  r_first.stats.save(buf, critter::core::StatSnapshot::Format::Binary);
+  r_first.stats.save(buf);
   const auto loaded = critter::core::StatSnapshot::load(buf);
 
   tune::TuneOptions second = opt;
