@@ -1,5 +1,6 @@
 // Engine hot-path microbenchmark: scheduler events/sec and p2p/collective
-// throughput, plus the headline SLATE-Cholesky simulation workload.
+// throughput, per-run setup cost, plus the headline SLATE-Cholesky
+// simulation workload.
 //
 // Emits both a human-readable table and the BENCH_*.json shape used to
 // track the perf trajectory across PRs:
@@ -9,6 +10,7 @@
 //
 // CRITTER_BENCH_JSON overrides the output path (default BENCH_engine.json);
 // CRITTER_BENCH_REPS scales the inner iteration counts.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -83,6 +85,31 @@ double bench_allreduce(int nranks, int iters, int bytes, util::Table& t) {
   report(t, "coll_allreduce_ops",
          static_cast<double>(eng.coll_count()) * nranks, secs);
   return eng.max_time();
+}
+
+/// Per-run setup cost: back-to-back 64-rank runs of one allreduce each, so
+/// building an engine and its rank fibers outweighs the run's events.  The
+/// tuner builds a fresh engine for every sample of every configuration,
+/// which makes this a fixed cost selective execution cannot skip.
+/// Best-of-3, as for the headline workload below.
+void bench_short_runs(int runs, util::Table& t) {
+  constexpr int kRanks = 64;
+  double best_secs = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const double t0 = now_s();
+    for (int i = 0; i < runs; ++i) {
+      sim::Engine eng(kRanks, sim::Machine::knl_like(), i);
+      eng.run([](sim::RankCtx&) {
+        sim::allreduce(nullptr, nullptr, 8, sim::reduce_sum_double(),
+                       sim::world());
+      });
+    }
+    const double secs = now_s() - t0;
+    best_secs = rep == 0 ? secs : std::min(best_secs, secs);
+  }
+  t.row({"engine_short_runs", util::Table::num(runs, 0),
+         util::Table::num(best_secs, 3), util::Table::sci(runs / best_secs)});
+  g_json.add("engine_short_runs_per_sec", runs / best_secs, "runs/s");
 }
 
 /// One best-of-3 fully-instrumented SLATE-Cholesky run; returns the best
@@ -198,6 +225,7 @@ int main() {
   bench_p2p_ring(64, 4000 * reps, 256, /*payload=*/false, t, "p2p_ring_model");
   bench_p2p_ring(64, 4000 * reps, 256, /*payload=*/true, t, "p2p_ring_payload");
   bench_allreduce(256, 500 * reps, 1024, t);
+  bench_short_runs(4000 * reps, t);
   bench_slate_cholesky(t);
   bench_trace_overhead(t);
   bench_tune_sweep(t);

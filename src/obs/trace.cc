@@ -33,6 +33,9 @@ struct Ring {
   std::vector<TraceEvent> slots;
   std::uint64_t next = 0;  ///< monotonic write cursor (mod size = slot)
   int tid = 0;
+  /// Set when the owning thread exits before the ring wraps: slots then
+  /// hold exactly the `next` recorded events, and later emits append.
+  bool trimmed = false;
 
   std::uint64_t dropped() const {
     return next > slots.size() ? next - slots.size() : 0;
@@ -41,7 +44,9 @@ struct Ring {
 
 struct TraceState {
   std::mutex m;
-  std::vector<std::unique_ptr<Ring>> rings;  ///< owned here, never freed
+  /// Owned here and kept after their threads exit (their events are still
+  /// exported), but trimmed to those events at thread exit.
+  std::vector<std::unique_ptr<Ring>> rings;
   int next_tid = 1;
   std::size_t capacity = 16384;
   bool env_path_written = false;
@@ -93,6 +98,23 @@ std::int64_t now_us() { return steady_us() + wall_anchor_us(); }
 
 thread_local Ring* t_ring = nullptr;
 
+/// At thread exit, shrink the thread's ring to the events it holds, so a
+/// process that runs many short-lived threads (the daemon runs one per
+/// connection) keeps their events, not a full ring each.  A ring that has
+/// not wrapped holds its events in slots [0, next), already in order; a
+/// wrapped ring is full of events and stays as it is.
+struct RingTrimmer {
+  ~RingTrimmer() {
+    TraceState& s = state();
+    std::lock_guard<std::mutex> lock(s.m);
+    Ring& r = *t_ring;
+    if (r.next >= r.slots.size()) return;
+    r.slots.resize(r.next);
+    r.slots.shrink_to_fit();
+    r.trimmed = true;
+  }
+};
+
 Ring& ring() {
   if (t_ring) return *t_ring;
   TraceState& s = state();
@@ -102,6 +124,7 @@ Ring& ring() {
   r.slots.resize(std::max<std::size_t>(1, s.capacity));
   r.tid = s.next_tid++;
   t_ring = &r;
+  thread_local RingTrimmer trimmer;  // registers the thread-exit trim
   if (!s.atexit_installed && !trace_env_path().empty()) {
     s.atexit_installed = true;
     std::atexit(trace_flush_env);
@@ -111,6 +134,14 @@ Ring& ring() {
 
 void emit(const TraceEvent& ev) {
   Ring& r = ring();
+  if (r.trimmed) {
+    // The thread is exiting (another thread_local's destructor emits):
+    // append under the lock, since an export may be reading the ring.
+    std::lock_guard<std::mutex> lock(state().m);
+    r.slots.push_back(ev);
+    ++r.next;
+    return;
+  }
   r.slots[r.next % r.slots.size()] = ev;
   ++r.next;
 }
@@ -193,11 +224,25 @@ void trace_reset_for_tests() {
   std::lock_guard<std::mutex> lock(s.m);
   for (std::unique_ptr<Ring>& r : s.rings) {
     r->next = 0;
-    r->slots.assign(std::max<std::size_t>(1, s.capacity), TraceEvent{});
+    if (r->trimmed) {
+      r->slots.clear();
+      r->slots.shrink_to_fit();
+    } else {
+      r->slots.assign(std::max<std::size_t>(1, s.capacity), TraceEvent{});
+    }
   }
   s.env_path_written = false;
   s.adopted_docs.clear();
   s.adopted_names.clear();
+}
+
+std::size_t trace_ring_bytes() {
+  TraceState& s = state();
+  std::lock_guard<std::mutex> lock(s.m);
+  std::size_t total = 0;
+  for (const std::unique_ptr<Ring>& r : s.rings)
+    total += r->slots.capacity() * sizeof(TraceEvent);
+  return total;
 }
 
 std::uint64_t trace_dropped() {

@@ -44,6 +44,10 @@ void trace_set_capacity(std::size_t events_per_thread);
 void trace_reset_for_tests();
 std::uint64_t trace_dropped();
 
+/// Bytes held by every thread's ring: a full ring per live thread that
+/// has emitted, plus the recorded events of exited threads (tests).
+std::size_t trace_ring_bytes();
+
 /// The pid recorded in exported events (fleet workers export under their
 /// shard index so the merged timeline has stable process rows); -1 = the
 /// real pid.

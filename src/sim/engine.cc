@@ -694,13 +694,18 @@ namespace {
 /// here.  References are resolved once per process (registry entries are
 /// never deleted).
 void flush_run_metrics(std::int64_t switches, std::int64_t sifts,
-                       std::int64_t p2p, std::int64_t coll) {
+                       std::int64_t p2p, std::int64_t coll,
+                       std::int64_t stacks_mapped, std::int64_t stacks_reused) {
   static obs::Counter& jobs = obs::counter("sim.jobs");
+  static obs::Counter& mapped = obs::counter("sim.fiber_stacks_mapped");
+  static obs::Counter& reused = obs::counter("sim.fiber_stacks_reused");
   static obs::Counter& fiber_switches = obs::counter("sim.fiber_switches");
   static obs::Counter& heap_sifts = obs::counter("sim.heap_sifts");
   static obs::Counter& p2p_msgs = obs::counter("sim.p2p_msgs");
   static obs::Counter& coll_ops = obs::counter("sim.coll_ops");
   jobs.add(1);
+  mapped.add(static_cast<std::uint64_t>(stacks_mapped));
+  reused.add(static_cast<std::uint64_t>(stacks_reused));
   fiber_switches.add(static_cast<std::uint64_t>(switches));
   heap_sifts.add(static_cast<std::uint64_t>(sifts));
   p2p_msgs.add(static_cast<std::uint64_t>(p2p));
@@ -713,9 +718,11 @@ void Engine::run(const std::function<void(RankCtx&)>& body) {
   CRITTER_CHECK(final_clocks_.empty(), "Engine::run may only be called once");
   obs::ScopedSpan span("sim.run", "sim", "ranks",
                        static_cast<std::uint64_t>(nranks_));
+  std::int64_t stacks_reused = 0;
   for (int r = 0; r < nranks_; ++r) {
     RankState* rs = &ranks_[r];
     rs->fiber = std::make_unique<Fiber>([this, rs, &body] { body(rs->ctx); });
+    stacks_reused += rs->fiber->stack_reused();
     ready_.push(0.0, r);
   }
   Engine* prev = g_engine;
@@ -738,7 +745,7 @@ void Engine::run(const std::function<void(RankCtx&)>& body) {
   }
   g_engine = prev;
   flush_run_metrics(fiber_switches_, ready_.sift_steps(), p2p_count_,
-                    coll_count_);
+                    coll_count_, nranks_ - stacks_reused, stacks_reused);
   if (first_error_) std::rethrow_exception(first_error_);
 
   for (const auto& rs : ranks_)

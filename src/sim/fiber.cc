@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -89,27 +90,81 @@ extern "C" void critter_fiber_swap(void** save_sp, void* restore_sp);
 
 #endif  // CRITTER_FIBER_FAST
 
+// Per-thread pool of guard-paged stacks (DESIGN.md §11, "Fiber stack
+// pool").  Every simulated run builds one fiber per rank, and mapping,
+// guarding, faulting in and unmapping a fresh stack each time cost more
+// than many runs' events; a pooled stack keeps its guard page and its
+// touched pages for its whole life.  The pool holds only stacks its own
+// thread mapped, and maps only when empty, so it never exceeds the most
+// fibers that were live on the thread at once.  No locking: a fiber
+// destroyed on another thread unmaps its stack instead of returning it.
+struct FiberStackPool {
+  struct Stack {
+    void* base;
+    std::size_t bytes;
+  };
+  std::vector<Stack> free;
+
+  void* take(std::size_t bytes) {
+    for (std::size_t i = free.size(); i-- > 0;) {
+      if (free[i].bytes != bytes) continue;
+      void* base = free[i].base;
+      free[i] = free.back();
+      free.pop_back();
+      return base;
+    }
+    return nullptr;
+  }
+
+  ~FiberStackPool();
+};
+
+namespace {
+// Set once the thread's pool is destroyed at thread exit: a fiber created
+// or destroyed later in the teardown (another thread_local's destructor)
+// maps or unmaps its stack directly.  Trivially destructible, so it stays
+// readable after the pool is gone.
+thread_local bool t_pool_gone = false;
+thread_local FiberStackPool t_pool;
+
+FiberStackPool* thread_pool() { return t_pool_gone ? nullptr : &t_pool; }
+}  // namespace
+
+FiberStackPool::~FiberStackPool() {
+  t_pool_gone = true;
+  for (const Stack& s : free) munmap(s.base, s.bytes);
+}
+
+std::size_t Fiber::pooled_stacks() {
+  const FiberStackPool* pool = thread_pool();
+  return pool != nullptr ? pool->free.size() : 0;
+}
+
 Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
-    : body_(std::move(body)), stack_bytes_(stack_bytes) {
+    : body_(std::move(body)), pool_(thread_pool()) {
   const long page = sysconf(_SC_PAGESIZE);
-  stack_bytes_ = ((stack_bytes_ + page - 1) / page) * page + page;  // + guard
+  stack_bytes_ = ((stack_bytes + page - 1) / page) * page + page;  // + guard
+  if (pool_ != nullptr) stack_ = pool_->take(stack_bytes_);
+  stack_reused_ = stack_ != nullptr;
+  if (stack_reused_) return;
   stack_ = mmap(nullptr, stack_bytes_, PROT_READ | PROT_WRITE,
                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   CRITTER_CHECK(stack_ != MAP_FAILED, "fiber stack mmap failed");
   // Guard page at the low end (stacks grow down) turns overflow into SIGSEGV
-  // instead of silent corruption.
+  // instead of silent corruption.  It stays for the mapping's life.
   CRITTER_CHECK(mprotect(stack_, page, PROT_NONE) == 0, "guard page mprotect");
 }
 
 Fiber::~Fiber() {
-  if (stack_ != nullptr) {
 #if defined(CRITTER_ASAN_FIBERS)
-    // Frames poisoned on this stack would otherwise outlive the mapping
-    // and trip ASan when the address range is reused.
-    __asan_unpoison_memory_region(stack_, stack_bytes_);
+  // Frames poisoned on this stack would otherwise trip ASan when the next
+  // fiber reuses the stack, or something else reuses the address range.
+  __asan_unpoison_memory_region(stack_, stack_bytes_);
 #endif
+  if (pool_ != nullptr && pool_ == thread_pool())
+    pool_->free.push_back({stack_, stack_bytes_});
+  else
     munmap(stack_, stack_bytes_);
-  }
 }
 
 void Fiber::trampoline() {

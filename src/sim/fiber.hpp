@@ -25,11 +25,15 @@
 
 namespace critter::sim {
 
+struct FiberStackPool;  ///< per-thread free list of stacks (fiber.cc)
+
 class Fiber {
  public:
-  /// `body` runs on the fiber's own stack on first resume().  Stacks are
-  /// mmap'd with a guard page; they are virtual memory, so thousands of
-  /// fibers are cheap until pages are actually touched.
+  /// `body` runs on the fiber's own stack on first resume().  The stack
+  /// comes from the constructing thread's pool of guard-paged stacks and
+  /// goes back to it on destruction; only a pool miss mmaps a new one
+  /// (DESIGN.md §11, "Fiber stack pool").  Stacks are virtual memory, so
+  /// thousands of fibers are cheap until pages are actually touched.
   explicit Fiber(std::function<void()> body, std::size_t stack_bytes = 512 * 1024);
   ~Fiber();
 
@@ -50,6 +54,13 @@ class Fiber {
   /// so the scheduler decides when to rethrow).
   std::exception_ptr error() const { return error_; }
 
+  /// True if the stack came from the thread's pool, false if it was
+  /// freshly mapped (the engine's sim.fiber_stacks_* counters).
+  bool stack_reused() const { return stack_reused_; }
+
+  /// Stacks parked in the calling thread's pool.
+  static std::size_t pooled_stacks();
+
  private:
   static void trampoline();
 
@@ -65,7 +76,9 @@ class Fiber {
   /// out (see the __sanitizer_*_switch_fiber annotations in fiber.cc).
   void* asan_fake_stack_ = nullptr;
   void* stack_ = nullptr;
-  std::size_t stack_bytes_ = 0;
+  std::size_t stack_bytes_ = 0;     ///< mapping size, guard page included
+  FiberStackPool* pool_ = nullptr;  ///< where the stack returns (or null)
+  bool stack_reused_ = false;
   bool started_ = false;
   bool finished_ = false;
   std::exception_ptr error_;

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fsio.hpp"
@@ -384,6 +385,33 @@ TEST(ObsTrace, ConcurrentEmitFromThreadPool) {
   // capacity, nothing torn (the parse above would have failed).
   EXPECT_EQ(doc.at("traceEvents").arr.size(),
             static_cast<std::size_t>(2 * kN));
+  EXPECT_EQ(obs::trace_dropped(), 0u);
+}
+
+TEST(ObsTrace, ExitedThreadsKeepOnlyTheirEvents) {
+  TraceGuard guard;
+  obs::trace_instant("main.tick", "test");  // this live thread's full ring
+  const std::size_t live_bytes = obs::trace_ring_bytes();
+
+  // A traced daemon runs one short-lived thread per connection; each must
+  // leave behind its events, not a 16384-slot ring.
+  constexpr int kThreads = 64;
+  for (int i = 0; i < kThreads; ++i)
+    std::thread([i] {
+      obs::ScopedSpan span("short", "test", "i", static_cast<std::uint64_t>(i));
+    }).join();
+
+  const Json doc = parse_json(obs::trace_export_chrome());
+  std::vector<int> order;
+  for (const Json& ev : doc.at("traceEvents").arr) {
+    check_trace_event_schema(ev);
+    if (ev.at("name").str == "short")
+      order.push_back(static_cast<int>(ev.at("args").at("i").num));
+  }
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kThreads));
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(order[i], i);
+  // 64 B per recorded event (TraceEvent), nothing more.
+  EXPECT_LE(obs::trace_ring_bytes(), live_bytes + kThreads * 64);
   EXPECT_EQ(obs::trace_dropped(), 0u);
 }
 
