@@ -11,6 +11,7 @@
 #include <thread>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -44,11 +45,23 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 void append_file(const std::string& path, const std::string& content) {
-  std::ofstream os(path, std::ios::binary | std::ios::app);
-  CRITTER_CHECK(os.is_open(), "cannot open " + path + " for append");
-  os.write(content.data(), static_cast<std::streamsize>(content.size()));
-  os.close();
-  CRITTER_CHECK(!os.fail(), "append failed for " + path);
+  // One write(2) straight from the caller's buffer (a stream would copy it
+  // through its own buffer first); the loop only covers short writes.
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0666);
+  CRITTER_CHECK(fd >= 0, "cannot open " + path + " for append");
+  const char* p = content.data();
+  std::size_t left = content.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ::close(fd);
+      CRITTER_CHECK(false, "append failed for " + path);
+    }
+    p += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  CRITTER_CHECK(::close(fd) == 0, "append failed for " + path);
 }
 
 void make_dir(const std::string& path) {
@@ -178,6 +191,10 @@ std::string read_published(const std::string& dir, const std::string& name) {
 
 void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+void sleep_us(int us) {
+  std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
 double monotonic_s() {

@@ -68,6 +68,7 @@ bool published(const std::string& dir, const std::string& name);
 std::string read_published(const std::string& dir, const std::string& name);
 
 void sleep_ms(int ms);
+void sleep_us(int us);
 double monotonic_s();
 
 }  // namespace critter::core

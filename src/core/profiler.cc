@@ -84,6 +84,15 @@ core::StatSnapshot Store::diff(const core::StatSnapshot& base) const {
   return delta;
 }
 
+void Store::merge(const core::StatSnapshot& delta) {
+  CRITTER_CHECK(delta.nranks() == nranks(),
+                "stat snapshot rank count does not match store");
+  for (int r = 0; r < nranks(); ++r) {
+    ranks_[r].table.merge(delta.ranks[r]);  // touches the version counter
+    ranks_[r].cached_idx = core::KernelArena::npos;
+  }
+}
+
 void Store::set_apriori_from_last_run() {
   // Pick the rank whose last run carried the longest modeled path; its ~K
   // holds the critical path's kernel execution counts.

@@ -169,6 +169,12 @@ class Store {
   /// current state.
   core::StatSnapshot diff(const core::StatSnapshot& base) const;
 
+  /// Fold a statistics delta into the live tables in place (per-rank
+  /// KernelTable::merge): the same state restore() of a merged snapshot()
+  /// would install, without the two deep copies.  Rank counts must match;
+  /// invalidate-sensitive caches are cleared as by restore().
+  void merge(const core::StatSnapshot& delta);
+
  private:
   Config cfg_;
   std::vector<RankProfiler> ranks_;

@@ -212,10 +212,7 @@ core::StatSnapshot decode_or_empty(const std::string& bytes) {
   return core::StatSnapshot::from_string(bytes);
 }
 
-}  // namespace
-
-std::string serialize_increment(const CheckpointIncrement& inc) {
-  WireWriter w;
+void write_increment(WireWriter& w, const CheckpointIncrement& inc) {
   w.raw(kIncrementMagic, sizeof kIncrementMagic);
   w.i64(inc.base_seq);
   w.i64(inc.seq);
@@ -247,6 +244,42 @@ std::string serialize_increment(const CheckpointIncrement& inc) {
     write_patch_blob(w, inc.mark_patch);
     write_patch_blob(w, inc.own_patch);
   }
+}
+
+/// Log frame header: [u64 payload length][u64 util::checksum64 of payload].
+constexpr std::size_t kFrameHeader = 16;
+
+void write_frame_header(char* at, const char* payload, std::size_t n) {
+  const std::uint64_t len = n;
+  const std::uint64_t sum = util::checksum64(payload, n);
+  std::memcpy(at, &len, 8);
+  std::memcpy(at + 8, &sum, 8);
+}
+
+}  // namespace
+
+std::string serialize_increment(const CheckpointIncrement& inc) {
+  WireWriter w;
+  write_increment(w, inc);
+  return w.out;
+}
+
+std::string increment_log_record(const CheckpointIncrement& inc) {
+  // An upper bound of the payload size (every told entry is a position
+  // plus one fixed-size outcome record, every dirty total four doubles),
+  // so the buffer grows once.
+  std::size_t told_entries = 0;
+  for (const ShardCheckpoint::ToldBatch& b : inc.new_told)
+    told_entries += b.positions.size();
+  WireWriter w;
+  w.out.reserve(kFrameHeader + 128 + 8 * inc.new_skipped.size() +
+                8 * inc.new_told.size() + 96 * told_entries +
+                40 * inc.dirty_totals.size() + inc.full_patch.size() +
+                inc.mark_patch.size() + inc.own_patch.size());
+  w.out.resize(kFrameHeader);  // placeholder, backpatched below
+  write_increment(w, inc);
+  write_frame_header(w.out.data(), w.out.data() + kFrameHeader,
+                     w.out.size() - kFrameHeader);
   return w.out;
 }
 
@@ -382,12 +415,8 @@ void apply_increment(ShardCheckpoint& ck, std::int64_t base_seq,
 }
 
 std::string frame_log_record(const std::string& payload) {
-  std::string out;
-  out.reserve(payload.size() + 16);
-  const std::uint64_t len = payload.size();
-  const std::uint64_t sum = util::checksum64(payload.data(), payload.size());
-  out.append(reinterpret_cast<const char*>(&len), 8);
-  out.append(reinterpret_cast<const char*>(&sum), 8);
+  std::string out(kFrameHeader, '\0');
+  write_frame_header(out.data(), payload.data(), payload.size());
   out.append(payload);
   return out;
 }
@@ -395,15 +424,15 @@ std::string frame_log_record(const std::string& payload) {
 std::vector<std::string> scan_log_records(const std::string& blob) {
   std::vector<std::string> records;
   std::size_t pos = 0;
-  while (blob.size() - pos >= 16) {
+  while (blob.size() - pos >= kFrameHeader) {
     std::uint64_t len = 0, sum = 0;
     std::memcpy(&len, blob.data() + pos, 8);
     std::memcpy(&sum, blob.data() + pos + 8, 8);
-    if (len > blob.size() - pos - 16) break;  // torn append
-    const char* p = blob.data() + pos + 16;
+    if (len > blob.size() - pos - kFrameHeader) break;  // torn append
+    const char* p = blob.data() + pos + kFrameHeader;
     if (util::checksum64(p, static_cast<std::size_t>(len)) != sum) break;
     records.emplace_back(p, static_cast<std::size_t>(len));
-    pos += 16 + static_cast<std::size_t>(len);
+    pos += kFrameHeader + static_cast<std::size_t>(len);
   }
   return records;
 }

@@ -136,6 +136,12 @@ void apply_increment(ShardCheckpoint& ck, std::int64_t base_seq,
 /// [payload].  Covers the shards' CRCKINC2 and the daemon's CRJTELL1 logs.
 std::string frame_log_record(const std::string& payload);
 
+/// frame_log_record(serialize_increment(inc)) built in one buffer: the
+/// frame header is reserved up front, the payload serialized behind it,
+/// and length and checksum backpatched — the worker's per-checkpoint log
+/// append, without the two intermediate copies.
+std::string increment_log_record(const CheckpointIncrement& inc);
+
 /// The longest valid framed-record prefix of a log blob.  Scanning stops at
 /// the first truncated frame or checksum mismatch — everything before a
 /// torn or corrupt append is still trusted.

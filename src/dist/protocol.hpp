@@ -25,6 +25,7 @@ using core::read_file;
 using core::read_published;
 using core::remove_dir_tree;
 using core::sleep_ms;
+using core::sleep_us;
 using core::write_file;
 using core::write_file_atomic;
 

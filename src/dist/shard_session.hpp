@@ -22,7 +22,9 @@ ShardResult shard_result_from(const tune::TuneResult& r,
 /// `mark` is the statistics baseline of the next delta (the session state
 /// right after the previous round's peer absorption), `own` accumulates the
 /// shard's own contribution (initial state + own deltas, never peers') —
-/// the snapshot the final fold consumes.
+/// the snapshot the final fold consumes.  Deltas are diffed from and peer
+/// deltas merged into the session's live tables in place; refresh_mark()
+/// is the round's one deep copy.
 class ShardSession {
  public:
   ShardSession(const tune::Study& study, const tune::TuneOptions& opt)
@@ -35,6 +37,7 @@ class ShardSession {
   /// ran (fewer means the strategy is exhausted — done() from then on).
   int run_segment(int max_batches) {
     int ran = 0;
+    mark_is_live_ = false;
     while (ran < max_batches) {
       if (!session_.step()) {
         done_ = true;
@@ -50,6 +53,7 @@ class ShardSession {
   /// strategy is exhausted.  Bit-identical to run_segment(1).
   bool step_logged(std::vector<int>* batch,
                    std::vector<tune::ConfigOutcome>* outcomes) {
+    mark_is_live_ = false;
     *batch = session_.ask();
     if (batch->empty()) {
       done_ = true;
@@ -88,18 +92,19 @@ class ShardSession {
     mark_ = std::move(mark);
     own_ = std::move(own);
     rounds_ = rounds;
+    mark_is_live_ = false;
   }
 
-  /// The statistics delta grown since the last publish point; folds it
-  /// into the shard's own contribution and advances the publish baseline.
+  /// The statistics delta grown since the last publish point (the live
+  /// tables diffed against `mark`); folds it into the shard's own
+  /// contribution.  A round's take_delta() is followed by its absorb()s
+  /// and refresh_mark() — or by nothing, when the shard is finished.
   core::StatSnapshot take_delta() {
-    core::StatSnapshot now = session_.export_state();
-    core::StatSnapshot delta = now.diff(mark_);
+    core::StatSnapshot delta = session_.diff_state(mark_);
     if (!own_.empty())
       own_.merge(delta);
     else
       own_ = delta;
-    mark_ = std::move(now);
     ++rounds_;
     return delta;
   }
@@ -108,9 +113,20 @@ class ShardSession {
   /// peer order); finish the round with refresh_mark() so the next delta
   /// diffs against the post-absorption state.
   void absorb(const core::StatSnapshot& peer_delta) {
+    mark_is_live_ = false;
     session_.merge_state(peer_delta);
   }
-  void refresh_mark() { mark_ = session_.export_state(); }
+  void refresh_mark() {
+    mark_ = session_.export_state();
+    mark_is_live_ = true;
+  }
+
+  /// True while the live statistics are unchanged since refresh_mark():
+  /// `mark` then serializes to exactly session().state_bytes(), so a
+  /// checkpoint that already holds those bytes reuses them for `mark`.
+  /// Cleared by every step (run_segment, step_logged), by absorb() and by
+  /// restore_exchange_state().
+  bool mark_is_live() const { return mark_is_live_; }
 
   bool done() const { return done_; }
   int rounds() const { return rounds_; }
@@ -133,6 +149,7 @@ class ShardSession {
   core::StatSnapshot own_;
   int rounds_ = 0;
   bool done_ = false;
+  bool mark_is_live_ = false;
 };
 
 }  // namespace critter::dist

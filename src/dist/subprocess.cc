@@ -309,10 +309,20 @@ void check_not_aborted(net::Store& store) {
 /// best-effort — a worker must never die because its heartbeat write
 /// failed.
 struct Heartbeat {
+  /// Cadence of beats from wait loops (beat_if_due); far below any stall
+  /// deadline, so a waiting worker always reads as live.
+  static constexpr double kInterval_s = 0.1;
+
   net::Store* store = nullptr;
   std::string key;
   std::uint64_t n = 0;
+  double last_at = 0.0;  ///< monotonic time of the last beat
+
+  void beat_if_due(int batches) {
+    if (monotonic_s() - last_at >= kInterval_s) beat(batches);
+  }
   void beat(int batches) {
+    last_at = monotonic_s();
     // Line 1 is the liveness counter plus the current execution phase (the
     // stall report quotes phase= and batches=); line 2 is a compact metrics
     // snapshot so the monitor can say *why* a shard is slow, not just that
@@ -329,8 +339,9 @@ struct Heartbeat {
   }
 };
 
-struct PeerWait {
-  bool skipped = false;
+/// A peer's round delta as read from the mailbox.
+struct PeerDelta {
+  bool skipped = false;  ///< non-strict: unreadable or late, left out
   core::StatSnapshot snap;
   std::int64_t bytes = 0;  ///< mailbox payload size (wire accounting)
 };
@@ -359,33 +370,29 @@ std::string make_patch(const std::string& base, const std::string& cur) {
   return core::encode_sparse_patch(base, cur);
 }
 
-/// Block until peer `p`'s round-`round` delta is available or provably
-/// absent (the peer finished earlier).  Strict mode fails on a corrupt
-/// delta or past the deadline (today's abort semantics); non-strict
-/// returns skipped=true instead — a corrupt publish is permanent (the
-/// rename is atomic), so it skips immediately rather than waiting out the
-/// deadline.  Beats `hb` while waiting so a legitimately-waiting worker is
-/// never stall-killed.
-PeerWait await_peer_delta(net::Store& store, int p, int round,
-                          double deadline_s, bool strict, Heartbeat& hb,
-                          int batches) {
+/// Where a peer's round delta stands once the wait ends.
+enum class PeerState {
+  Published,  ///< the delta is in the mailbox
+  Absent,     ///< the peer finished with fewer rounds: none is coming
+  TimedOut,   ///< non-strict deadline passed (strict throws instead)
+};
+
+/// Block until peer `p`'s round-`round` delta is published or provably
+/// absent (the peer finished earlier).  Strict mode fails past the
+/// deadline (today's abort semantics); non-strict returns TimedOut
+/// instead.  Beats `hb` while waiting so a legitimately-waiting worker is
+/// never stall-killed.  Polls back off exponentially from tens of
+/// microseconds to kMaxPoll_us: a peer a few microseconds behind is seen
+/// at once, a long wait costs at most ~1000 mailbox probes a second.
+PeerState await_peer_delta(net::Store& store, int p, int round,
+                           double deadline_s, bool strict, Heartbeat& hb,
+                           int batches) {
+  constexpr int kMaxPoll_us = 1000;
   const double deadline = monotonic_s() + deadline_s;
-  int polls = 0;
+  int poll_us = 20;
   while (true) {
-    if (store.published("exchange/" + delta_name(p, round))) {
-      try {
-        const std::string payload =
-            store.read_published("exchange/" + delta_name(p, round));
-        // Empty payload: the peer session has no shared statistics to
-        // trade (isolated mode) — a published, verifiable nothing.
-        if (payload.empty()) return {};
-        return {false, core::StatSnapshot::from_string(payload),
-                static_cast<std::int64_t>(payload.size())};
-      } catch (...) {
-        if (strict) throw;
-        return {true, {}};
-      }
-    }
+    if (store.published("exchange/" + delta_name(p, round)))
+      return PeerState::Published;
     if (store.published("exchange/" + done_name(p))) {
       const std::string marker =
           store.read_published("exchange/" + done_name(p));
@@ -395,17 +402,37 @@ PeerWait await_peer_delta(net::Store& store, int p, int round,
                     "stale done marker from shard " + std::to_string(p));
       // The peer publishes every delta before its done marker, so a
       // visible marker with rounds <= round proves no delta is coming.
-      if (rounds <= round) return {};
+      if (rounds <= round) return PeerState::Absent;
     }
     check_not_aborted(store);
     if (monotonic_s() >= deadline) {
       CRITTER_CHECK(!strict, "timed out waiting for shard " +
                                  std::to_string(p) + "'s round-" +
                                  std::to_string(round) + " exchange delta");
-      return {true, {}};
+      return PeerState::TimedOut;
     }
-    if (++polls % 20 == 0) hb.beat(batches);
-    sleep_ms(5);
+    hb.beat_if_due(batches);
+    sleep_us(poll_us);
+    poll_us = std::min(2 * poll_us, kMaxPoll_us);
+  }
+}
+
+/// Read and decode peer `p`'s published round-`round` delta.  Strict mode
+/// fails on a corrupt delta; non-strict returns skipped=true instead — a
+/// corrupt publish is permanent (the rename is atomic), so it skips at
+/// once rather than waiting out the deadline.
+PeerDelta read_peer_delta(net::Store& store, int p, int round, bool strict) {
+  try {
+    const std::string payload =
+        store.read_published("exchange/" + delta_name(p, round));
+    // Empty payload: the peer session has no shared statistics to trade
+    // (isolated mode) — a published, verifiable nothing.
+    if (payload.empty()) return {};
+    return {false, core::StatSnapshot::from_string(payload),
+            static_cast<std::int64_t>(payload.size())};
+  } catch (...) {
+    if (strict) throw;
+    return {true, {}};
   }
 }
 
@@ -415,12 +442,8 @@ PeerWait await_peer_delta(net::Store& store, int p, int round,
 /// inconsistent with the checkpoint — the caller falls back to a clean
 /// restart.
 core::StatSnapshot read_peer_now(net::Store& store, int p, int round) {
-  if (store.published("exchange/" + delta_name(p, round))) {
-    const std::string payload =
-        store.read_published("exchange/" + delta_name(p, round));
-    if (payload.empty()) return {};
-    return core::StatSnapshot::from_string(payload);
-  }
+  if (store.published("exchange/" + delta_name(p, round)))
+    return read_peer_delta(store, p, round, /*strict=*/true).snap;
   if (store.published("exchange/" + done_name(p))) {
     const std::string marker = store.read_published("exchange/" + done_name(p));
     int rounds = -1;
@@ -662,144 +685,150 @@ int worker_body(const WorkerArgs& args) {
     ++ckpt_seq;
     ++checkpoints_taken;
     const int ordinal = fault.arg > 0 ? static_cast<int>(fault.arg) : 2;
-    // Serialize the session state once; what ships is decided by byte
-    // comparison against the previous record's payload (DESIGN.md §13).
-    core::StatSnapshot cur_full = ss->session().export_state();
-    std::string cur_full_bytes;
-    if (!cur_full.empty()) cur_full_bytes = cur_full.to_string();
-    // mark/own only move at exchange rounds: when their per-rank version
-    // vectors are unchanged the bytes provably are too, and both the
-    // serialization and the patch are skipped.
-    std::vector<std::uint64_t> cur_mark_vers, cur_own_vers;
-    std::string cur_mark_bytes, cur_own_bytes;
-    bool mark_same = false, own_same = false;
-    if (exchanging) {
-      cur_mark_vers = version_vector(ss->mark());
-      cur_own_vers = version_vector(ss->own_stats());
-      mark_same = !prev_mark_vers.empty() && cur_mark_vers == prev_mark_vers;
-      own_same = !prev_own_vers.empty() && cur_own_vers == prev_own_vers;
-      if (mark_same)
-        cur_mark_bytes = prev_mark_bytes;
-      else if (!ss->mark().empty())
-        cur_mark_bytes = ss->mark().to_string();
-      if (own_same)
-        cur_own_bytes = prev_own_bytes;
-      else if (!ss->own_stats().empty())
-        cur_own_bytes = ss->own_stats().to_string();
-    }
-    if (!force_full && ckpt_base_seq > 0 &&
-        ckpt_seq - ckpt_base_seq <= kIncrementsPerFull) {
-      CheckpointIncrement inc;
-      bool delta_ok = true;
-      try {
-        // Byte patches against the previous record's payloads.  make_patch
-        // throws if the state did not evolve patchably (e.g. a reset); the
-        // record then falls back to a full checkpoint.
-        inc.full_patch = make_patch(prev_full_bytes, cur_full_bytes);
-        if (exchanging) {
-          if (!mark_same)
-            inc.mark_patch = make_patch(prev_mark_bytes, cur_mark_bytes);
-          if (!own_same)
-            inc.own_patch = make_patch(prev_own_bytes, cur_own_bytes);
-        }
-      } catch (const std::exception&) {
-        delta_ok = false;
-      }
-      if (delta_ok) {
-        inc.base_seq = ckpt_base_seq;
-        inc.seq = ckpt_seq;
-        inc.batches = batches;
-        inc.rounds = round;
-        inc.in_round = in_round;
-        inc.exchange_skips = skips;
-        inc.new_skipped.assign(skipped.begin() + prev_skipped, skipped.end());
-        inc.new_told.assign(told.begin() + prev_told, told.end());
-        std::vector<int> dirty;
-        for (const ShardCheckpoint::ToldBatch& tb : inc.new_told)
-          for (int pos : tb.positions) dirty.push_back(pos - range.begin);
-        std::sort(dirty.begin(), dirty.end());
-        dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-        for (int idx : dirty)
-          inc.dirty_totals.emplace_back(
-              idx, ss->session().totals()[range.begin + idx]);
-        inc.has_exchange_state = exchanging;
-        const std::string rec = frame_log_record(serialize_increment(inc));
-        if (fault.mode == "kill-mid-checkpoint" &&
-            checkpoints_taken == ordinal && fault_fires(shard_dir, fault)) {
-          // The kill-9 torn point for an increment: half the framed record
-          // reaches the log — the scan rejects the tail, the prefix and the
-          // base slot stay good.
-          append_file(ckpt_log, rec.substr(0, rec.size() / 2));
-          ::kill(::getpid(), SIGKILL);
-        }
-        if (fault.mode == "corrupt-checkpoint" &&
-            checkpoints_taken == ordinal && fault_fires(shard_dir, fault)) {
-          std::string bad = rec;
-          bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x5a);
-          append_file(ckpt_log, bad);
-          ::_exit(43);
-        }
-        append_file(ckpt_log, rec);
-        prev_full_bytes = std::move(cur_full_bytes);
-        if (exchanging) {
-          prev_mark_bytes = std::move(cur_mark_bytes);
-          prev_own_bytes = std::move(cur_own_bytes);
-          prev_mark_vers = std::move(cur_mark_vers);
-          prev_own_vers = std::move(cur_own_vers);
-        }
-        prev_told = told.size();
-        prev_skipped = skipped.size();
-        return;
-      }
-    }
+    const bool fault_here = checkpoints_taken == ordinal;
+    // Encode: the framed increment record, or — when the log cannot extend
+    // (no base yet, a forced or periodic full, an unpatchable transition) —
+    // the full checkpoint payload.
+    std::string record;
+    std::string payload;
     ShardCheckpoint c;
-    c.seq = ckpt_seq;
-    c.batches = batches;
-    c.rounds = round;
-    c.in_round = in_round;
-    c.exchange_skips = skips;
-    c.skipped = skipped;
-    c.told = told;
-    c.totals.assign(ss->session().totals().begin() + range.begin,
-                    ss->session().totals().begin() + range.end);
-    c.full = std::move(cur_full);
-    c.full_bytes = std::move(cur_full_bytes);
-    if (exchanging) {
-      // The byte payloads alone feed serialize_checkpoint (written
-      // verbatim); the decoded mark/own snapshots are not needed here.
-      c.has_exchange_state = true;
-      c.mark_bytes = std::move(cur_mark_bytes);
-      c.own_bytes = std::move(cur_own_bytes);
+    std::vector<std::uint64_t> cur_mark_vers, cur_own_vers;
+    {
+      obs::ScopedSpan span("dist.checkpoint.encode", "dist");
+      // Serialize the live session state in place, once; what ships is
+      // decided by byte comparison against the previous record's payload
+      // (DESIGN.md §13).
+      c.full_bytes = ss->session().state_bytes();
+      // mark/own only move at exchange rounds: when their per-rank version
+      // vectors are unchanged the bytes provably are too, and both the
+      // serialization and the patch are skipped.  Right after a round the
+      // mark *is* the live state, whose bytes were just produced.
+      bool mark_same = false, own_same = false;
+      if (exchanging) {
+        c.has_exchange_state = true;
+        cur_mark_vers = version_vector(ss->mark());
+        cur_own_vers = version_vector(ss->own_stats());
+        mark_same = !prev_mark_vers.empty() && cur_mark_vers == prev_mark_vers;
+        own_same = !prev_own_vers.empty() && cur_own_vers == prev_own_vers;
+        // prev_* are reassigned from c below on every path (a throw ends
+        // the worker), so an unchanged payload moves instead of copying.
+        if (mark_same)
+          c.mark_bytes = std::move(prev_mark_bytes);
+        else if (ss->mark_is_live())
+          c.mark_bytes = c.full_bytes;
+        else if (!ss->mark().empty())
+          c.mark_bytes = ss->mark().to_string();
+        if (own_same)
+          c.own_bytes = std::move(prev_own_bytes);
+        else if (!ss->own_stats().empty())
+          c.own_bytes = ss->own_stats().to_string();
+      }
+      if (!force_full && ckpt_base_seq > 0 &&
+          ckpt_seq - ckpt_base_seq <= kIncrementsPerFull) {
+        CheckpointIncrement inc;
+        bool delta_ok = true;
+        try {
+          // Byte patches against the previous record's payloads.
+          // make_patch throws if the state did not evolve patchably (e.g. a
+          // reset); the record then falls back to a full checkpoint.
+          inc.full_patch = make_patch(prev_full_bytes, c.full_bytes);
+          if (exchanging) {
+            if (!mark_same)
+              inc.mark_patch = make_patch(prev_mark_bytes, c.mark_bytes);
+            if (!own_same)
+              inc.own_patch = make_patch(prev_own_bytes, c.own_bytes);
+          }
+        } catch (const std::exception&) {
+          delta_ok = false;
+        }
+        if (delta_ok) {
+          inc.base_seq = ckpt_base_seq;
+          inc.seq = ckpt_seq;
+          inc.batches = batches;
+          inc.rounds = round;
+          inc.in_round = in_round;
+          inc.exchange_skips = skips;
+          inc.new_skipped.assign(skipped.begin() + prev_skipped,
+                                 skipped.end());
+          inc.new_told.assign(told.begin() + prev_told, told.end());
+          std::vector<int> dirty;
+          for (const ShardCheckpoint::ToldBatch& tb : inc.new_told)
+            for (int pos : tb.positions) dirty.push_back(pos - range.begin);
+          std::sort(dirty.begin(), dirty.end());
+          dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+          for (int idx : dirty)
+            inc.dirty_totals.emplace_back(
+                idx, ss->session().totals()[range.begin + idx]);
+          inc.has_exchange_state = exchanging;
+          record = increment_log_record(inc);
+        }
+      }
+      if (record.empty()) {
+        c.seq = ckpt_seq;
+        c.batches = batches;
+        c.rounds = round;
+        c.in_round = in_round;
+        c.exchange_skips = skips;
+        c.skipped = skipped;
+        c.told = told;
+        c.totals.assign(ss->session().totals().begin() + range.begin,
+                        ss->session().totals().begin() + range.end);
+        // The byte payloads alone feed serialize_checkpoint (written
+        // verbatim); the decoded snapshots are not needed here.
+        payload = serialize_checkpoint(c);
+      }
     }
-    const std::string payload = serialize_checkpoint(c);
-    const std::string slot = next_full_slot;
-    if (fault.mode == "kill-mid-checkpoint" && checkpoints_taken == ordinal &&
-        fault_fires(shard_dir, fault)) {
-      // The kill-9 torn point: payload renamed into place, manifest never
-      // written — the slot's previous manifest (if any) now mismatches.
-      write_file_atomic(shard_dir + "/" + slot, payload);
-      ::kill(::getpid(), SIGKILL);
+
+    obs::ScopedSpan span("dist.checkpoint.write", "dist");
+    if (!record.empty()) {
+      if (fault.mode == "kill-mid-checkpoint" && fault_here &&
+          fault_fires(shard_dir, fault)) {
+        // The kill-9 torn point for an increment: half the framed record
+        // reaches the log — the scan rejects the tail, the prefix and the
+        // base slot stay good.
+        append_file(ckpt_log, record.substr(0, record.size() / 2));
+        ::kill(::getpid(), SIGKILL);
+      }
+      if (fault.mode == "corrupt-checkpoint" && fault_here &&
+          fault_fires(shard_dir, fault)) {
+        record[record.size() / 2] =
+            static_cast<char>(record[record.size() / 2] ^ 0x5a);
+        append_file(ckpt_log, record);
+        ::_exit(43);
+      }
+      append_file(ckpt_log, record);
+    } else {
+      const std::string slot = next_full_slot;
+      if (fault.mode == "kill-mid-checkpoint" && fault_here &&
+          fault_fires(shard_dir, fault)) {
+        // The kill-9 torn point: payload renamed into place, manifest never
+        // written — the slot's previous manifest (if any) now mismatches.
+        write_file_atomic(shard_dir + "/" + slot, payload);
+        ::kill(::getpid(), SIGKILL);
+      }
+      publish_file(shard_dir, slot, payload);
+      if (fault.mode == "corrupt-checkpoint" && fault_here &&
+          fault_fires(shard_dir, fault)) {
+        payload[payload.size() / 2] =
+            static_cast<char>(payload[payload.size() / 2] ^ 0x5a);
+        write_file(shard_dir + "/" + slot, payload);
+        ::_exit(43);
+      }
+      // Only after the new base is fully published: drop the log extending
+      // the previous base (a crash in between resumes from whichever base
+      // survives, each with a consistent log view).
+      ::remove(ckpt_log.c_str());
+      ckpt_base_seq = ckpt_seq;
+      next_full_slot =
+          slot == "ckpt_a.bin" ? std::string("ckpt_b.bin") : "ckpt_a.bin";
     }
-    publish_file(shard_dir, slot, payload);
-    if (fault.mode == "corrupt-checkpoint" && checkpoints_taken == ordinal &&
-        fault_fires(shard_dir, fault)) {
-      std::string bad = payload;
-      bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x5a);
-      write_file(shard_dir + "/" + slot, bad);
-      ::_exit(43);
-    }
-    // Only after the new base is fully published: drop the log extending
-    // the previous base (a crash in between resumes from whichever base
-    // survives, each with a consistent log view).
-    ::remove(ckpt_log.c_str());
-    ckpt_base_seq = ckpt_seq;
-    next_full_slot =
-        slot == "ckpt_a.bin" ? std::string("ckpt_b.bin") : "ckpt_a.bin";
     prev_full_bytes = std::move(c.full_bytes);
-    prev_mark_bytes = std::move(c.mark_bytes);
-    prev_own_bytes = std::move(c.own_bytes);
-    prev_mark_vers = std::move(cur_mark_vers);
-    prev_own_vers = std::move(cur_own_vers);
+    if (exchanging) {
+      prev_mark_bytes = std::move(c.mark_bytes);
+      prev_own_bytes = std::move(c.own_bytes);
+      prev_mark_vers = std::move(cur_mark_vers);
+      prev_own_vers = std::move(cur_own_vers);
+    }
     prev_told = told.size();
     prev_skipped = skipped.size();
   };
@@ -868,28 +897,47 @@ int worker_body(const WorkerArgs& args) {
                                  static_cast<std::uint64_t>(round));
       // Publish this shard's round delta, then fold in every peer's, in
       // ascending shard order (the determinism contract).
-      publish_delta(round);
-      // Flow id (shard << 16) | round: the publish starts the flow, every
-      // peer that absorbs this round's delta finishes it — the merged
-      // fleet timeline draws the exchange as arrows between process rows.
-      obs::trace_flow(
-          's', "exchange", "dist",
-          (static_cast<std::uint64_t>(range.index) << 16) |
-              static_cast<std::uint64_t>(round));
+      {
+        obs::ScopedSpan span("dist.exchange.publish", "dist");
+        publish_delta(round);
+        // Flow id (shard << 16) | round: the publish starts the flow, every
+        // peer that absorbs this round's delta finishes it — the merged
+        // fleet timeline draws the exchange as arrows between process rows.
+        obs::trace_flow(
+            's', "exchange", "dist",
+            (static_cast<std::uint64_t>(range.index) << 16) |
+                static_cast<std::uint64_t>(round));
+      }
       for (int p = 0; p < nshards; ++p) {
         if (p == range.index) continue;
-        PeerWait peer = await_peer_delta(store, p, round,
-                                       exchange_deadline_s, strict, hb,
-                                       batches);
+        PeerState state;
+        {
+          obs::ScopedSpan span("dist.exchange.wait", "dist", "peer",
+                               static_cast<std::uint64_t>(p));
+          const double wait_t0 = monotonic_s();
+          state = await_peer_delta(store, p, round, exchange_deadline_s,
+                                   strict, hb, batches);
+          obs::histogram("dist.exchange.wait_seconds")
+              .observe(monotonic_s() - wait_t0);
+        }
+        PeerDelta peer;  // Absent: nothing to absorb
+        if (state == PeerState::TimedOut) {
+          peer.skipped = true;
+        } else if (state == PeerState::Published) {
+          obs::ScopedSpan span("dist.exchange.absorb", "dist", "peer",
+                               static_cast<std::uint64_t>(p));
+          peer = read_peer_delta(store, p, round, strict);
+          if (!peer.snap.empty()) {
+            obs::trace_flow('f', "exchange", "dist",
+                            (static_cast<std::uint64_t>(p) << 16) |
+                                static_cast<std::uint64_t>(round));
+            ss->absorb(peer.snap);
+          }
+        }
         if (peer.skipped) {
           skipped.emplace_back(round, p);
           ++skips;
           obs::counter("dist.exchange.skips").add();
-        } else if (!peer.snap.empty()) {
-          obs::trace_flow('f', "exchange", "dist",
-                          (static_cast<std::uint64_t>(p) << 16) |
-                              static_cast<std::uint64_t>(round));
-          ss->absorb(peer.snap);
         }
         exchange_bytes += peer.bytes;
       }
@@ -1195,12 +1243,23 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
     abort_fleet(failure);
   };
 
-  for (Child& c : fleet) spawn(c);
-  while (true) {
-    bool all_settled = true;
+  const auto all_settled = [&]() {
     for (const Child& c : fleet)
-      all_settled = all_settled && (c.done || c.degraded);
-    if (all_settled) break;
+      if (!c.done && !c.degraded) return false;
+    return true;
+  };
+  // Supervision loop: a reaped exit or a due relaunch is noticed within
+  // one kPoll_ms poll, and the loop leaves as soon as the last shard
+  // settles — no trailing sleep.  Heartbeats are read every kBeatRead_s:
+  // stall deadlines are seconds, so reading them faster buys nothing but
+  // file reads.
+  constexpr int kPoll_ms = 1;
+  constexpr double kBeatRead_s = 0.005;
+  double next_beat_read = 0.0;
+  for (Child& c : fleet) spawn(c);
+  while (!all_settled()) {
+    const bool read_beats = monotonic_s() >= next_beat_read;
+    if (read_beats) next_beat_read = monotonic_s() + kBeatRead_s;
     for (Child& c : fleet) {
       if (c.done || c.degraded) continue;
       if (!c.running) {
@@ -1222,6 +1281,7 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
                            shard_diagnosis(run_dir, c.range.index));
         continue;
       }
+      if (!read_beats) continue;
       // Progress-based stall detection: the startup deadline bounds launch
       // → first heartbeat, the progress deadline bounds the gap between
       // heartbeat advances.
@@ -1249,7 +1309,7 @@ std::vector<ShardResult> run_fleet(const tune::Study& study,
                        format_seconds(limit) + "s" +
                        describe_last_beat(c.beat));
     }
-    sleep_ms(5);
+    if (!all_settled()) sleep_ms(kPoll_ms);
   }
 
   // Degraded completion: the launcher sweeps the abandoned ranges itself,

@@ -107,6 +107,13 @@ std::string SweepDriver::stats_bytes() const {
   return {};
 }
 
+core::StatSnapshot SweepDriver::diff_stats(
+    const core::StatSnapshot& base) const {
+  if (plan_.mode == SweepMode::Serial) return store_->diff(base);
+  if (plan_.mode == SweepMode::BatchShared) return base_.diff(base);
+  return {};
+}
+
 void SweepDriver::import_stats(const core::StatSnapshot& snap) {
   if (snap.empty()) return;
   // Isolated sweeps reset statistics per configuration, so there is no
@@ -147,9 +154,7 @@ void SweepDriver::merge_stats(const core::StatSnapshot& delta) {
     d = &reduced;
   }
   if (plan_.mode == SweepMode::Serial) {
-    core::StatSnapshot s = store_->snapshot();
-    s.merge(*d);
-    store_->restore(s);
+    store_->merge(*d);
   } else {  // BatchShared
     base_.merge(*d);
   }

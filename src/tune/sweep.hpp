@@ -66,6 +66,11 @@ class SweepDriver {
   /// serialized where they live ("" for isolated sweeps).
   std::string stats_bytes() const;
 
+  /// stats().diff(base) without the deep copy: the shared statistics'
+  /// exact merge inverse against `base`, diffed where they live (empty
+  /// for isolated sweeps).
+  core::StatSnapshot diff_stats(const core::StatSnapshot& base) const;
+
   /// Replace the shared statistics (warm start / sharded resume).  In
   /// reset mode only the reset-surviving state (channels, size model) is
   /// kept — see the in-body comment.  Isolated sweeps have no shared
@@ -75,7 +80,7 @@ class SweepDriver {
   /// Fold a delta into the shared statistics between batches: the
   /// distributed executors' mid-sweep exchange hook (a peer shard's
   /// published delta).  Deterministic — a pure KernelTable::merge in call
-  /// order.  Reset-mode sweeps keep only the reset-surviving state of the
+  /// order, applied to the live tables in place.  Reset-mode sweeps keep only the reset-surviving state of the
   /// delta (channels, size model), mirroring import_stats; isolated sweeps
   /// have no shared statistics and ignore it.
   void merge_stats(const core::StatSnapshot& delta);

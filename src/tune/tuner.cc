@@ -271,6 +271,12 @@ bool Tuner::step() {
 
 core::StatSnapshot Tuner::export_state() const { return driver_->stats(); }
 
+std::string Tuner::state_bytes() const { return driver_->stats_bytes(); }
+
+core::StatSnapshot Tuner::diff_state(const core::StatSnapshot& base) const {
+  return driver_->diff_stats(base);
+}
+
 void Tuner::import_state(const core::StatSnapshot& snap) {
   CRITTER_CHECK(!started_, "import_state() is only legal before the first ask()");
   driver_->import_stats(snap);

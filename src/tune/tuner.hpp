@@ -288,6 +288,14 @@ class Tuner {
   /// Current shared statistics (empty snapshot in isolated mode).
   core::StatSnapshot export_state() const;
 
+  /// export_state().to_string() serialized from the live tables ("" in
+  /// isolated mode) — the bytes without the deep copy.
+  std::string state_bytes() const;
+
+  /// export_state().diff(base) computed against the live tables (empty in
+  /// isolated mode): the statistics grown since `base` was captured.
+  core::StatSnapshot diff_state(const core::StatSnapshot& base) const;
+
   /// Seed the shared statistics (warm start / sharded resume).  Only legal
   /// before the first ask(); isolated-parallel sessions ignore the
   /// snapshot (they have no shared statistics to seed — the documented

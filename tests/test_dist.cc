@@ -10,11 +10,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/executor.hpp"
 #include "dist/protocol.hpp"
+#include "dist/shard_session.hpp"
 #include "tune/tuner.hpp"
 
 namespace core = critter::core;
@@ -468,6 +471,96 @@ TEST(MergeState, FoldsBetweenBatchesAndRejectsMidBatch) {
   EXPECT_TRUE(
       session.export_state().same_statistics(repeat.export_state()));
   EXPECT_FALSE(session.export_state().same_statistics(donor.stats));
+}
+
+// ---------------------------------------------------------------------------
+// ShardSession: in-place delta and absorption match the copy-based algebra
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Two shard sessions over halves of `study`, traded for three lockstep
+/// rounds of `every` batches.  Each round checks, on both sessions, that
+/// a step clears mark_is_live() and refresh_mark() sets it, that
+/// take_delta() equals export_state().diff(mark) and that absorbing the
+/// peer's delta in place leaves exactly the bytes of the copy-based
+/// export -> merge -> to_string path.  Returns the total pending-eager
+/// entries and tombstones the deltas carried (so a caller can confirm the
+/// eager bookkeeping was exercised).
+std::pair<std::size_t, std::size_t> check_in_place_exchange(
+    const tune::Study& study, const tune::TuneOptions& base_opt, int every) {
+  const std::vector<dist::ShardRange> ranges = dist::partition_range(
+      0, static_cast<int>(study.configs.size()), 2);
+  std::vector<std::unique_ptr<dist::ShardSession>> ss;
+  for (const dist::ShardRange& r : ranges) {
+    tune::TuneOptions opt = base_opt;
+    opt.config_begin = r.begin;
+    opt.config_end = r.end;
+    ss.push_back(std::make_unique<dist::ShardSession>(study, opt));
+  }
+  // Payloads compare with EXPECT_TRUE: a mismatch would otherwise print
+  // megabytes of snapshot bytes.
+  std::size_t pending = 0, tombstones = 0;
+  for (int round = 0; round < 3; ++round) {
+    const std::string what = "round " + std::to_string(round);
+    std::vector<core::StatSnapshot> deltas(2);
+    for (int s = 0; s < 2; ++s) {
+      // Shard 0 steps through run_segment, shard 1 through step_logged
+      // (the subprocess worker's path); each step leaves the mark stale.
+      if (s == 0) {
+        EXPECT_EQ(ss[s]->run_segment(every), every) << what;
+      } else {
+        std::vector<int> batch;
+        std::vector<tune::ConfigOutcome> outcomes;
+        for (int b = 0; b < every; ++b)
+          EXPECT_TRUE(ss[s]->step_logged(&batch, &outcomes)) << what;
+      }
+      EXPECT_FALSE(ss[s]->mark_is_live()) << what;
+      const std::string expect =
+          ss[s]->session().export_state().diff(ss[s]->mark()).to_string();
+      deltas[s] = ss[s]->take_delta();
+      EXPECT_TRUE(deltas[s].to_string() == expect) << what << " shard " << s;
+      for (const core::KernelTable& t : deltas[s].ranks) {
+        pending += t.pending_eager.size();
+        tombstones += t.pending_tombstones.size();
+      }
+    }
+    for (int s = 0; s < 2; ++s) {
+      core::StatSnapshot copy = ss[s]->session().export_state();
+      copy.merge(deltas[1 - s]);
+      ss[s]->absorb(deltas[1 - s]);
+      const std::string live = ss[s]->session().state_bytes();
+      EXPECT_TRUE(live == copy.to_string()) << what << " shard " << s;
+      EXPECT_TRUE(live == ss[s]->session().export_state().to_string())
+          << what;
+      ss[s]->refresh_mark();
+      EXPECT_TRUE(ss[s]->mark_is_live()) << what;
+      EXPECT_TRUE(ss[s]->mark().to_string() == live) << what;
+    }
+  }
+  return {pending, tombstones};
+}
+
+}  // namespace
+
+TEST(ShardSessionInPlace, CapitalEagerDeltaAndAbsorbMatchCopyAlgebra) {
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 12);
+  tune::TuneOptions opt;
+  opt.policy = Policy::EagerPropagation;
+  opt.samples = 1;
+  opt.tolerance = 0.25;
+  const auto [pending, tombstones] = check_in_place_exchange(study, opt, 2);
+  // The eager policy's bookkeeping rode the deltas: pending entries for
+  // kernels a shard has not seen, and tombstones for absorbed ones.
+  EXPECT_GT(pending, 0u);
+  EXPECT_GT(tombstones, 0u);
+}
+
+TEST(ShardSessionInPlace, SlateOnlineDeltaAndAbsorbMatchCopyAlgebra) {
+  const tune::Study study = subset(tune::slate_cholesky_study(false), 12);
+  tune::TuneOptions opt = shared_options();
+  opt.tolerance = 0.25;
+  check_in_place_exchange(study, opt, 2);
 }
 
 int main(int argc, char** argv) {

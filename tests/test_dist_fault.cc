@@ -146,6 +146,68 @@ TEST(CrashRecovery, MidSweepCrashResumesBitIdenticalExchangeOnStrict) {
   EXPECT_GE(rec.resumed_batches, 1);
 }
 
+TEST(CrashRecovery, EagerCrashBetweenRoundsResumesBitIdentical) {
+  // Checkpoints every batch with a round every two: even checkpoints follow
+  // a round (their mark bytes are the live state's), odd ones fall between
+  // rounds (mark unchanged since the previous record).  Two attempts each
+  // crash after their third batch: the first resumes from checkpoint 2,
+  // the second from the log the relaunch extended to checkpoint 4 — both
+  // kinds of record read back, eager pending entries and all.
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 12);
+  tune::TuneOptions opt;
+  opt.policy = Policy::EagerPropagation;
+  opt.samples = 1;
+  opt.tolerance = 0.25;
+  const dist::ExchangePolicy every2{2};
+  dist::InProcessExecutor inproc;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 2, inproc,
+                                                   every2);
+  ASSERT_GT(clean.exchange_rounds, 0);
+
+  dist::SubprocessOptions sopts;
+  sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/1);
+  sopts.fault_injection = "1:crash-after-batch:3:2";
+  dist::SubprocessExecutor sub(sopts);
+  const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub, every2);
+
+  expect_equal_results(clean, r, "eager crash-recover, exchange every 2");
+  EXPECT_TRUE(r.stats.to_string() == clean.stats.to_string());
+  EXPECT_EQ(r.exchange_rounds, clean.exchange_rounds);
+  const tune::ShardRecovery& rec = recovery_of(r, 1);
+  EXPECT_EQ(rec.retries, 2);
+  EXPECT_TRUE(rec.recovered);
+  EXPECT_EQ(rec.resumed_batches, 4);  // the last attempt's resume point
+}
+
+TEST(CrashRecovery, EagerCheckpointsOffTheRoundGridResumeBitIdentical) {
+  // Checkpoints every 3 batches against rounds every 2: checkpoint 3 comes
+  // one batch after a round, so its mark is neither the live state nor
+  // the previous record's — it must be serialized from the mark itself.
+  // The crash after batch 5 resumes from that checkpoint.
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 12);
+  tune::TuneOptions opt;
+  opt.policy = Policy::EagerPropagation;
+  opt.samples = 1;
+  opt.tolerance = 0.25;
+  const dist::ExchangePolicy every2{2};
+  dist::InProcessExecutor inproc;
+  const tune::TuneResult clean = dist::run_sharded(study, opt, 2, inproc,
+                                                   every2);
+
+  dist::SubprocessOptions sopts;
+  sopts.fault = quick_fault(/*max_retries=*/2, /*checkpoint_every=*/3);
+  sopts.fault_injection = "1:crash-after-batch:5";
+  dist::SubprocessExecutor sub(sopts);
+  const tune::TuneResult r = dist::run_sharded(study, opt, 2, sub, every2);
+
+  expect_equal_results(clean, r, "eager crash-recover, checkpoint every 3");
+  EXPECT_TRUE(r.stats.to_string() == clean.stats.to_string());
+  const tune::ShardRecovery& rec = recovery_of(r, 1);
+  EXPECT_EQ(rec.retries, 1);
+  EXPECT_TRUE(rec.recovered);
+  EXPECT_EQ(rec.resumed_batches, 3);
+}
+
 TEST(CrashRecovery, CrashOnStartRecoversByCleanRestart) {
   // No checkpoints: the relaunch restarts from scratch, which is still
   // bit-identical (nothing was published).
@@ -592,6 +654,35 @@ TEST(IncrementFormat, RoundtripPreservesEveryField) {
     EXPECT_EQ(back.full_patch, inc.full_patch);
     // Deep equality via the canonical encoding.
     EXPECT_EQ(dist::serialize_increment(back), payload);
+  }
+}
+
+TEST(IncrementFormat, OneBufferRecordEqualsFramedSerialization) {
+  const tune::Study study = subset(tune::capital_cholesky_study(false), 8);
+  const dist::ShardRange range{1, 4, 8};
+  for (bool exchange : {false, true}) {
+    const dist::CheckpointIncrement inc =
+        sample_increment(study, range, exchange);
+    if (exchange) {
+      ASSERT_FALSE(inc.full_patch.empty());
+      ASSERT_FALSE(inc.mark_patch.empty());
+      ASSERT_FALSE(inc.own_patch.empty());
+    }
+    const std::string payload = dist::serialize_increment(inc);
+    const std::string record = dist::increment_log_record(inc);
+    EXPECT_EQ(record, dist::frame_log_record(payload));
+    // Two appended records scan back whole and parse to the same increment.
+    const std::vector<std::string> scanned =
+        dist::scan_log_records(record + record);
+    ASSERT_EQ(scanned.size(), 2u);
+    for (const std::string& rec : scanned) {
+      EXPECT_EQ(rec, payload);
+      const dist::CheckpointIncrement back =
+          dist::parse_increment(rec, study, range);
+      EXPECT_EQ(back.mark_patch, inc.mark_patch);
+      EXPECT_EQ(back.own_patch, inc.own_patch);
+      EXPECT_EQ(dist::serialize_increment(back), payload);
+    }
   }
 }
 

@@ -8,11 +8,13 @@ Fails (exit 1) if any named metric in FRESH is below MIN_RATIO times the
 baseline value — i.e. a >20% regression at the default MIN_RATIO of 0.8.
 Override the threshold with --min-ratio=0.9 before the file arguments.
 
-Metrics are higher-is-better by default (throughput, speedup ratios).
-Suffix a metric with ":lower" for lower-is-better values (latencies,
-overhead ratios): the same MIN_RATIO floor then applies to the inverted
-ratio baseline/fresh, so a fresh value more than 1/MIN_RATIO times the
-baseline fails.
+Metrics are higher-is-better by default (throughput, speedup ratios);
+":higher" says so explicitly.  Suffix a metric with ":lower" for
+lower-is-better values (latencies, overhead ratios): the same MIN_RATIO
+floor then applies to the inverted ratio baseline/fresh, so a fresh value
+more than 1/MIN_RATIO times the baseline fails.  Any other suffix is a
+usage error (exit 2) — a misspelled direction must never silently flip a
+gate.
 
 Both files are the BenchJson shape emitted by the bench binaries:
 
@@ -47,6 +49,12 @@ def main(argv):
         return 2
 
     baseline_path, fresh_path, metrics = args[0], args[1], args[2:]
+    for spec in metrics:
+        _, sep, direction = spec.partition(":")
+        if sep and direction not in ("lower", "higher"):
+            sys.stderr.write(f"bad metric direction in '{spec}': use "
+                             f"':lower' or ':higher'\n")
+            return 2
     base_host, base = load_results(baseline_path)
     fresh_host, fresh = load_results(fresh_path)
     print(f"baseline {baseline_path}: host={base_host}")
